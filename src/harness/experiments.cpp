@@ -20,16 +20,6 @@ std::unique_ptr<LatencyModel> make_model(const ExperimentConfig& cfg,
   return std::make_unique<WanLatencyModel>(cfg.wan, seed);
 }
 
-/// Everything one (timeout, run) trial contributes to the sweep's
-/// statistics. Plain values, folded later in run order.
-struct TrialOut {
-  double p = 0.0;
-  std::array<double, kNumModels> pm{};
-  std::array<double, kNumModels> rounds{};
-  std::array<double, kNumModels> censored{};
-  std::array<double, kNumLinkModelClasses> class_pm{};  ///< granular only
-};
-
 }  // namespace
 
 std::vector<std::vector<double>> expected_rtt_matrix(
@@ -82,49 +72,28 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
   const GranularContext granular_ctx{
       granular ? cfg.link_models : LinkModelMatrix(0)};
 
-  // Fan every (timeout, run) cell out as an independent trial. A trial's
-  // randomness depends only on (cfg.seed, run) — the paired design: the
-  // same latency stream for every timeout — so the executing thread and
-  // the thread count are irrelevant to its output.
+  // Fan the runs out as independent trials. A run's randomness depends
+  // only on (cfg.seed, run), so the executing thread and the thread count
+  // are irrelevant to its output. Each trial draws its run's latencies
+  // once and classifies every round against every timeout — the paired
+  // design: the same latency stream for every timeout. The latency
+  // sub-stream and the start_rng draw order are the ones measure_run +
+  // decision_stats consumed per (timeout, run) cell, so every statistic
+  // below is bit-identical to the historical path (tests/harness_test.cpp
+  // pins the sweep to measure_run_streaming, which is pinned to it). The
+  // granular variant preserves both stream orders, so an all-sync
+  // link_models matrix reproduces the homogeneous sweep bit-for-bit
+  // (tests/granular_test.cpp).
   const auto runs = static_cast<std::size_t>(cfg.runs);
-  const std::size_t cells = cfg.timeouts_ms.size() * runs;
-  const std::vector<TrialOut> trials =
-      run_trials<TrialOut>(cells, [&](std::size_t cell) {
-        const double timeout = cfg.timeouts_ms[cell / runs];
-        const std::uint64_t run = cell % runs;
-        TrialOut out;
+  using RunSweep = std::vector<GranularStreamedRun>;
+  const std::vector<RunSweep> trials =
+      run_trials<RunSweep>(runs, [&](std::size_t run) {
         auto model = make_model(cfg, substream_seed(cfg.seed, run));
-        LatencyTimelinessSampler sampler(*model, timeout);
-
-        // Streaming fast path: the fused sample-and-evaluate kernel plus
-        // incremental window trackers replace the sat-vector pipeline.
-        // The latency sub-stream and the start_rng draw order are the
-        // ones measure_run + decision_stats consumed, so every statistic
-        // below is bit-identical to the historical path (asserted by
-        // tests/harness_test.cpp). The granular variant preserves both
-        // stream orders, so an all-sync link_models matrix reproduces
-        // the homogeneous sweep bit-for-bit (tests/granular_test.cpp).
         Rng start_rng = substream(cfg.seed ^ 0xabcdef, run);
-        if (granular) {
-          const GranularStreamedRun m = measure_run_streaming_granular(
-              sampler, cfg.rounds_per_run, leader, cfg.decision_rounds,
-              cfg.start_points, start_rng, granular_ctx);
-          out.p = m.base.timely_fraction();
-          out.pm = m.base.pm;
-          out.rounds = m.base.mean_rounds;
-          out.censored = m.base.censored;
-          out.class_pm = m.class_pm;
-        } else {
-          const StreamedRun m =
-              measure_run_streaming(sampler, cfg.rounds_per_run, leader,
-                                    cfg.decision_rounds, cfg.start_points,
-                                    start_rng);
-          out.p = m.timely_fraction();
-          out.pm = m.pm;
-          out.rounds = m.mean_rounds;
-          out.censored = m.censored;
-        }
-        return out;
+        return measure_run_sweep(*model, cfg.timeouts_ms, cfg.rounds_per_run,
+                                 leader, cfg.decision_rounds,
+                                 cfg.start_points, start_rng,
+                                 granular ? &granular_ctx : nullptr);
       });
 
   // Fold per timeout in run order — the exact order of the historical
@@ -148,14 +117,14 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
     }
 
     for (std::size_t run = 0; run < runs; ++run) {
-      const TrialOut& t = trials[ti * runs + run];
-      p_stats.add(t.p);
+      const GranularStreamedRun& t = trials[run][ti];
+      p_stats.add(t.base.timely_fraction());
       for (int idx = 0; idx < kNumModels; ++idx) {
         const auto i = static_cast<std::size_t>(idx);
-        pm_stats[i].add(t.pm[i]);
-        rounds_stats[i].add(t.rounds[i]);
-        censored_stats[i].add(t.censored[i]);
-        rounds_hist[i].add(t.rounds[i]);
+        pm_stats[i].add(t.base.pm[i]);
+        rounds_stats[i].add(t.base.mean_rounds[i]);
+        censored_stats[i].add(t.base.censored[i]);
+        rounds_hist[i].add(t.base.mean_rounds[i]);
       }
       for (int c = 0; c < kNumLinkModelClasses; ++c) {
         class_stats[static_cast<std::size_t>(c)].add(

@@ -17,12 +17,16 @@
 //  * the same latency seeds are reused across timeouts (paired design),
 //    so curves vary with the timeout, not with resampling noise.
 //
-// Execution: every (timeout, run) cell is an independent trial fanned out
-// over the shared thread pool (common/parallel.hpp, TIMING_THREADS env).
-// Trial randomness is a pure function of (cfg.seed, run index), and the
-// per-timeout statistics are folded in run order on the calling thread,
-// so results are bit-identical for every thread count — TIMING_THREADS=1
-// reproduces the historical serial loop exactly.
+// Execution: every run is an independent trial fanned out over the shared
+// thread pool (common/parallel.hpp, TIMING_THREADS env). A trial builds
+// its run's latency model once, draws each round's n(n-1) latencies once
+// and classifies them against every timeout of the sweep
+// (measure_run_sweep), so a 12-timeout sweep draws 12x fewer latencies
+// than replaying the run per timeout would. Trial randomness is a pure
+// function of (cfg.seed, run index), and the per-timeout statistics are
+// folded in run order on the calling thread, so results are
+// bit-identical for every thread count — TIMING_THREADS=1 reproduces the
+// historical serial (timeout, run) loop exactly.
 #pragma once
 
 #include <array>

@@ -260,89 +260,119 @@ DecisionStats ConsecutiveWindowTracker::finalize() const {
   return out;
 }
 
+namespace {
+
+/// Start points of one streamed run, pre-drawn in exactly the order the
+/// vector-based path consumes them (model-major, kAllModels order), so the
+/// same `start_rng` sub-stream yields the same points.
+std::array<std::vector<int>, kNumModels> draw_start_points(Rng& start_rng,
+                                                           int rounds,
+                                                           int start_points) {
+  std::array<std::vector<int>, kNumModels> starts;
+  for (auto& at : starts) {
+    at.resize(static_cast<std::size_t>(start_points));
+    for (int& s : at) {
+      // Start anywhere in the first half so a typical window can complete.
+      s = static_cast<int>(start_rng.uniform_int(
+          static_cast<std::uint64_t>(std::max(1, rounds / 2))));
+    }
+  }
+  return starts;
+}
+
+/// What one streamed run accumulates round by round: fate tallies, a
+/// window tracker per model and per-class conformance counts. Every
+/// streaming entry point feeds one of these per run (per timeout, for a
+/// sweep) and finishes with its finalize().
+class StreamedRunAccum {
+ public:
+  StreamedRunAccum(const std::array<int, kNumModels>& needed,
+                   const std::array<std::vector<int>, kNumModels>& starts,
+                   int rounds, int n)
+      : rounds_(rounds),
+        messages_per_round_(static_cast<long long>(n) * (n - 1)) {
+    track_.reserve(kNumModels);
+    for (std::size_t i = 0; i < kNumModels; ++i) {
+      track_.emplace_back(needed[i], starts[i], rounds);
+    }
+  }
+
+  /// One round: its fate tallies, the per-model sat bits (kAllModels
+  /// order) and the per-class conformance bits.
+  void observe(const FusedRoundEval& fates, std::uint8_t sat,
+               std::uint8_t csat) noexcept {
+    out_.base.messages_total += messages_per_round_;
+    out_.base.messages_timely += fates.timely;
+    out_.base.messages_late += fates.late;
+    out_.base.messages_lost += fates.lost;
+    for (std::size_t i = 0; i < kNumModels; ++i) {
+      track_[i].observe((sat & (1u << i)) != 0);
+    }
+    for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
+      if (csat & (1u << c)) ++class_sat_[c];
+    }
+  }
+
+  GranularStreamedRun finalize() const {
+    GranularStreamedRun out = out_;
+    const auto rounds = static_cast<double>(rounds_);
+    for (std::size_t i = 0; i < kNumModels; ++i) {
+      const DecisionStats ds = track_[i].finalize();
+      out.base.pm[i] =
+          static_cast<double>(track_[i].satisfied_rounds()) / rounds;
+      out.base.mean_rounds[i] = ds.mean_rounds;
+      out.base.censored[i] = ds.censored_fraction;
+    }
+    for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
+      out.class_pm[c] = static_cast<double>(class_sat_[c]) / rounds;
+    }
+    return out;
+  }
+
+ private:
+  int rounds_;
+  long long messages_per_round_;
+  GranularStreamedRun out_;  ///< tallies so far; rates filled by finalize
+  std::vector<ConsecutiveWindowTracker> track_;
+  std::array<long long, kNumLinkModelClasses> class_sat_{};
+};
+
+void check_run_shape(int rounds, int start_points) {
+  TM_CHECK(rounds > 0, "need at least one round");
+  TM_CHECK(start_points > 0, "need at least one start point");
+}
+
+}  // namespace
+
 StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
                                   ProcessId leader,
                                   const std::array<int, kNumModels>& needed,
                                   int start_points, Rng& start_rng) {
-  TM_CHECK(rounds > 0, "need at least one round");
-  TM_CHECK(start_points > 0, "need at least one start point");
+  check_run_shape(rounds, start_points);
   const int n = sampler.n();
-
-  // Pre-draw the start points in exactly the order the vector-based path
-  // consumes them (model-major, kAllModels order), so the same `start_rng`
-  // sub-stream yields the same points.
-  std::vector<ConsecutiveWindowTracker> track;
-  track.reserve(kNumModels);
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    std::vector<int> starts(static_cast<std::size_t>(start_points));
-    for (int s = 0; s < start_points; ++s) {
-      // Start anywhere in the first half so a typical window can complete.
-      starts[static_cast<std::size_t>(s)] = static_cast<int>(
-          start_rng.uniform_int(
-              static_cast<std::uint64_t>(std::max(1, rounds / 2))));
-    }
-    track.emplace_back(needed[static_cast<std::size_t>(idx)],
-                       std::move(starts), rounds);
-  }
-
-  StreamedRun out;
+  StreamedRunAccum acc(needed,
+                       draw_start_points(start_rng, rounds, start_points),
+                       rounds, n);
   PackedLinkMatrix a(n);
   ColumnDeficits cols;
   for (int r = 1; r <= rounds; ++r) {
     const FusedRoundEval e =
         sampler.sample_round_and_evaluate(r, leader, a, cols);
-    out.messages_total += static_cast<long long>(n) * (n - 1);
-    out.messages_timely += e.timely;
-    out.messages_late += e.late;
-    out.messages_lost += e.lost;
-    for (TimingModel m : kAllModels) {
-      const int idx = model_index(m);
-      track[static_cast<std::size_t>(idx)].observe(
-          (e.mask & (1u << idx)) != 0);
-    }
+    acc.observe(e, e.mask, 0);
   }
-
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    const auto& t = track[static_cast<std::size_t>(idx)];
-    const DecisionStats ds = t.finalize();
-    out.pm[static_cast<std::size_t>(idx)] =
-        static_cast<double>(t.satisfied_rounds()) /
-        static_cast<double>(rounds);
-    out.mean_rounds[static_cast<std::size_t>(idx)] = ds.mean_rounds;
-    out.censored[static_cast<std::size_t>(idx)] = ds.censored_fraction;
-  }
-  return out;
+  return acc.finalize().base;
 }
 
 GranularStreamedRun measure_run_streaming_granular(
     TimelinessSampler& sampler, int rounds, ProcessId leader,
     const std::array<int, kNumModels>& needed, int start_points,
     Rng& start_rng, const GranularContext& g) {
-  TM_CHECK(rounds > 0, "need at least one round");
-  TM_CHECK(start_points > 0, "need at least one start point");
+  check_run_shape(rounds, start_points);
   const int n = sampler.n();
   TM_CHECK(n == g.n(), "link-model matrix size must match the sampler");
-
-  // Identical pre-draw to measure_run_streaming: model-major, kAllModels
-  // order, uniform over the first half of the run.
-  std::vector<ConsecutiveWindowTracker> track;
-  track.reserve(kNumModels);
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    std::vector<int> starts(static_cast<std::size_t>(start_points));
-    for (int s = 0; s < start_points; ++s) {
-      starts[static_cast<std::size_t>(s)] = static_cast<int>(
-          start_rng.uniform_int(
-              static_cast<std::uint64_t>(std::max(1, rounds / 2))));
-    }
-    track.emplace_back(needed[static_cast<std::size_t>(idx)],
-                       std::move(starts), rounds);
-  }
-
-  GranularStreamedRun out;
-  std::array<long long, kNumLinkModelClasses> class_sat{};
+  StreamedRunAccum acc(needed,
+                       draw_start_points(start_rng, rounds, start_points),
+                       rounds, n);
   PackedLinkMatrix a(n);
   for (int r = 1; r <= rounds; ++r) {
     // Plain packed sample (per-cell RNG order equals the fused kernel's),
@@ -351,36 +381,52 @@ GranularStreamedRun measure_run_streaming_granular(
     sampler.sample_round(r, a);
     FusedRoundEval fates;
     tally_fates(a, fates);
-    out.base.messages_total += static_cast<long long>(n) * (n - 1);
-    out.base.messages_timely += fates.timely;
-    out.base.messages_late += fates.late;
-    out.base.messages_lost += fates.lost;
     const GranularEval e = evaluate_all_granular(a, leader, g);
-    for (TimingModel m : kAllModels) {
-      const int idx = model_index(m);
-      track[static_cast<std::size_t>(idx)].observe(
-          (e.sat & (1u << idx)) != 0);
-    }
-    for (int c = 0; c < kNumLinkModelClasses; ++c) {
-      if (e.csat & (1u << c)) ++class_sat[static_cast<std::size_t>(c)];
+    acc.observe(fates, e.sat, e.csat);
+  }
+  return acc.finalize();
+}
+
+std::vector<GranularStreamedRun> measure_run_sweep(
+    LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
+    ProcessId leader, const std::array<int, kNumModels>& needed,
+    int start_points, Rng& start_rng, const GranularContext* g) {
+  check_run_shape(rounds, start_points);
+  const int n = model.n();
+  TM_CHECK(g == nullptr || g->n() == n,
+           "link-model matrix size must match the latency model");
+  for (double t : timeouts_ms) TM_CHECK(t > 0.0, "timeout must be positive");
+
+  // Every timeout replays the same run, so all of them share one set of
+  // start points: the ones a fresh `start_rng` gives measure_run_streaming.
+  const auto starts = draw_start_points(start_rng, rounds, start_points);
+  std::vector<StreamedRunAccum> acc;
+  acc.reserve(timeouts_ms.size());
+  for (std::size_t t = 0; t < timeouts_ms.size(); ++t) {
+    acc.emplace_back(needed, starts, rounds, n);
+  }
+
+  std::vector<double> latency;
+  PackedLinkMatrix a(n);
+  ColumnDeficits cols;
+  for (int r = 1; r <= rounds; ++r) {
+    draw_latency_round(model, r, latency);
+    for (std::size_t t = 0; t < timeouts_ms.size(); ++t) {
+      const FusedRoundEval e =
+          classify_round(latency, timeouts_ms[t], kDefaultMaxDelayRounds,
+                         leader, a, cols);
+      if (g == nullptr) {
+        acc[t].observe(e, e.mask, 0);
+      } else {
+        const GranularEval ge = evaluate_all_granular(a, leader, *g);
+        acc[t].observe(e, ge.sat, ge.csat);
+      }
     }
   }
 
-  for (TimingModel m : kAllModels) {
-    const int idx = model_index(m);
-    const auto& t = track[static_cast<std::size_t>(idx)];
-    const DecisionStats ds = t.finalize();
-    out.base.pm[static_cast<std::size_t>(idx)] =
-        static_cast<double>(t.satisfied_rounds()) /
-        static_cast<double>(rounds);
-    out.base.mean_rounds[static_cast<std::size_t>(idx)] = ds.mean_rounds;
-    out.base.censored[static_cast<std::size_t>(idx)] = ds.censored_fraction;
-  }
-  for (int c = 0; c < kNumLinkModelClasses; ++c) {
-    out.class_pm[static_cast<std::size_t>(c)] =
-        static_cast<double>(class_sat[static_cast<std::size_t>(c)]) /
-        static_cast<double>(rounds);
-  }
+  std::vector<GranularStreamedRun> out;
+  out.reserve(acc.size());
+  for (const StreamedRunAccum& run : acc) out.push_back(run.finalize());
   return out;
 }
 

@@ -155,8 +155,8 @@ class ConsecutiveWindowTracker {
 /// sample-and-evaluate kernel. Statistically (and bit-for-bit) identical
 /// to measure_run + incidence + decision_stats with the same sampler
 /// sub-stream and `start_rng`, but the hot loop is one pass per round
-/// over the packed bit plane. No tracing/metrics: this is the
-/// zero-observability fast path the figure sweeps run on.
+/// over the packed bit plane. No tracing/metrics. The figure sweeps run
+/// measure_run_sweep, which this single-timeout run is the reference for.
 struct StreamedRun {
   long long messages_total = 0;
   long long messages_timely = 0;
@@ -196,5 +196,18 @@ GranularStreamedRun measure_run_streaming_granular(
     TimelinessSampler& sampler, int rounds, ProcessId leader,
     const std::array<int, kNumModels>& needed, int start_points,
     Rng& start_rng, const GranularContext& g);
+
+/// One run of `model` measured at every timeout of a sweep: each round's
+/// n(n-1) latencies are drawn once (draw_latency_round) and classified
+/// against each timeout (classify_round). Entry t is bit-identical to
+/// measure_run_streaming — or, with `g`, measure_run_streaming_granular —
+/// over a LatencyTimelinessSampler for timeouts_ms[t], given an
+/// identically seeded fresh model and `start_rng`: the model's RNG and
+/// the start points are consumed in the same order, once instead of once
+/// per timeout. Without `g`, class_pm stays zero.
+std::vector<GranularStreamedRun> measure_run_sweep(
+    LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
+    ProcessId leader, const std::array<int, kNumModels>& needed,
+    int start_points, Rng& start_rng, const GranularContext* g = nullptr);
 
 }  // namespace timing

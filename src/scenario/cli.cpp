@@ -273,7 +273,7 @@ int lab_run(int argc, char** argv) {
     print_lab_usage(std::cerr);
     return 2;
   }
-  const std::string invalid = validate(spec);
+  const std::string invalid = validate(*sc, spec);
   if (!invalid.empty()) {
     std::cerr << "error: invalid scenario parameters: " << invalid << "\n";
     return 2;
@@ -530,7 +530,7 @@ int bench_main(const char* name, int argc, char** argv) {
     print_bench_usage(std::cerr, name, *sc);
     return 2;
   }
-  const std::string invalid = validate(spec);
+  const std::string invalid = validate(*sc, spec);
   if (!invalid.empty()) {
     std::cerr << "error: invalid scenario parameters: " << invalid << "\n";
     return 2;

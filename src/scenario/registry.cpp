@@ -4,6 +4,8 @@
 // golden tests pin the default stdout of the fig1c/fig1g entries.
 #include "scenario/registry.hpp"
 
+#include <algorithm>
+
 #include "scenario/runners.hpp"
 
 namespace timing::scenario {
@@ -216,23 +218,25 @@ const std::vector<Scenario> kRegistry = {
      analysis_defaults, run_fig1b},
     {"fig1c", "fig1c_lan_pm", "Figure 1(c)",
      "LAN: measured vs IID-predicted P_M per timeout, both leaders",
-     lan_defaults, run_fig1c},
+     lan_defaults, run_fig1c, true},
     {"fig1d", "fig1d_wan_timeout_to_p", "Figure 1(d)",
      "WAN: round timeout -> fraction of timely messages", wan_defaults,
-     run_fig1d},
+     run_fig1d, true},
     {"fig1e", "fig1e_wan_pm", "Figure 1(e)",
-     "WAN: measured P_M per timeout with 95% CIs", wan_defaults, run_fig1e},
+     "WAN: measured P_M per timeout with 95% CIs", wan_defaults, run_fig1e,
+     true},
     {"fig1f", "fig1f_wan_variance", "Figure 1(f)",
-     "WAN: across-run variance of P_M per timeout", wan_defaults, run_fig1f},
+     "WAN: across-run variance of P_M per timeout", wan_defaults, run_fig1f,
+     true},
     {"fig1g", "fig1g_wan_rounds", "Figure 1(g)",
      "WAN: average rounds until global-decision conditions hold",
-     wan_defaults, run_fig1g},
+     wan_defaults, run_fig1g, true},
     {"fig1h", "fig1h_wan_time", "Figure 1(h)",
      "WAN: average time (rounds x timeout) to decision conditions",
-     wan_defaults, run_fig1h},
+     wan_defaults, run_fig1h, true},
     {"fig1i", "fig1i_timeout_tradeoff", "Figure 1(i)",
      "WAN: timeout-tuning zoom for <>LM / <>WLM (fine sweep)",
-     fig1i_defaults, run_fig1i},
+     fig1i_defaults, run_fig1i, true},
     {"appc", "appc_asymptotics", "Appendix C",
      "Asymptotics of expected decision time as n grows", appc_defaults,
      run_appc_asymptotics},
@@ -250,18 +254,18 @@ const std::vector<Scenario> kRegistry = {
      simulation_cost_defaults, run_ablation_simulation_cost},
     {"ablation/group_size", "ablation_group_size", "ablation",
      "Sensitivity of the model comparison to the group size n",
-     group_size_defaults, run_ablation_group_size},
+     group_size_defaults, run_ablation_group_size, true},
     {"ablation/smr_cost", "ablation_smr_cost", "ablation",
      "Steady-state replication cost per committed command",
      smr_cost_defaults, run_ablation_smr_cost},
     {"granular/fig1", "granular_fig1_wan", "granular",
      "WAN Figure-1 sweep under per-link timing models (link_models=SPEC): "
      "granular P_M, per-class conformance, rounds to decision",
-     granular_fig1_defaults, run_granular_fig1},
+     granular_fig1_defaults, run_granular_fig1, true},
     {"granular/ablation", "granular_ablation_mix", "granular",
      "Async link-fraction sweep on IID links: measured granular P_M vs "
      "the Poisson-binomial analysis",
-     granular_ablation_defaults, run_granular_ablation},
+     granular_ablation_defaults, run_granular_ablation, true},
     {"chaos/consensus", "chaos_consensus", "chaos",
      "All four consensus algorithms under seeded random fault plans",
      chaos_defaults, run_chaos_consensus},
@@ -289,6 +293,18 @@ const std::vector<Scenario> kRegistry = {
 }  // namespace
 
 const std::vector<Scenario>& registry() { return kRegistry; }
+
+std::string validate(const Scenario& sc, const ScenarioSpec& spec) {
+  const std::string err = validate(spec);
+  if (!err.empty() || !sc.decision_windows) return err;
+  const int longest = *std::max_element(spec.decision_rounds.begin(),
+                                        spec.decision_rounds.end());
+  if (spec.rounds_per_run <= longest) {
+    return "rounds_per_run must exceed the longest decision window (" +
+           std::to_string(longest) + " rounds)";
+  }
+  return "";
+}
 
 const Scenario* find_scenario(const std::string& name) {
   for (const Scenario& s : kRegistry) {

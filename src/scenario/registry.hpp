@@ -27,7 +27,17 @@ struct Scenario {
   /// Execute over a (possibly overridden) spec. Returns a process exit
   /// code; 0 on success.
   int (*run)(const ScenarioSpec& spec, const RunContext& ctx);
+  /// The scenario measures rounds until decision conditions hold, i.e.
+  /// looks for decision_rounds-long windows inside each rounds_per_run
+  /// run. Scenarios that leave this false use rounds_per_run as a round
+  /// cap or not at all.
+  bool decision_windows = false;
 };
+
+/// validate(spec) plus the rules that depend on what `sc` computes: a
+/// decision-window scenario's runs must be longer than every window.
+/// The CLI checks every spec it runs with this.
+std::string validate(const Scenario& sc, const ScenarioSpec& spec);
 
 /// All registered scenarios, in presentation order (figures, appendix,
 /// ablations). Names are unique.

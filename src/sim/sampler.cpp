@@ -62,6 +62,18 @@ struct MaskAccum {
   }
 };
 
+/// Fate of one message with latency `ms` in rounds of `timeout_ms`.
+Delay classify_latency(double ms, double timeout_ms,
+                       int max_delay_rounds) noexcept {
+  if (!std::isfinite(ms)) return kLost;
+  if (ms <= timeout_ms) return 0;
+  // Rounds last `timeout`; a message sent at the start of round k with
+  // latency L lands in round k + floor(L / timeout).
+  const double rounds_late = std::floor(ms / timeout_ms);
+  return rounds_late > max_delay_rounds ? kLost
+                                        : static_cast<Delay>(rounds_late);
+}
+
 }  // namespace
 
 void TimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
@@ -110,83 +122,41 @@ void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval) {
   eval.timely += timely;
 }
 
-LatencyTimelinessSampler::LatencyTimelinessSampler(LatencyModel& model,
-                                                   double timeout_ms,
-                                                   int max_delay_rounds)
-    : model_(model), timeout_ms_(timeout_ms),
-      max_delay_rounds_(max_delay_rounds) {
-  TM_CHECK(timeout_ms > 0.0, "timeout must be positive");
-}
-
-Delay LatencyTimelinessSampler::classify(double ms) const noexcept {
-  if (!std::isfinite(ms)) return kLost;
-  if (ms <= timeout_ms_) return 0;
-  // Rounds last `timeout`; a message sent at the start of round k with
-  // latency L lands in round k + floor(L / timeout).
-  const double rounds_late = std::floor(ms / timeout_ms_);
-  return rounds_late > max_delay_rounds_ ? kLost
-                                         : static_cast<Delay>(rounds_late);
-}
-
-void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
-  model_.begin_round(k);
-  const int n = model_.n();
+void draw_latency_round(LatencyModel& model, Round k,
+                        std::vector<double>& latency) {
+  const int n = model.n();
+  latency.resize(static_cast<std::size_t>(n) * n);
+  model.begin_round(k);
+  double* cell = latency.data();
   for (ProcessId dst = 0; dst < n; ++dst) {
-    for (ProcessId src = 0; src < n; ++src) {
-      if (src == dst) {
-        out.set(dst, src, 0);  // a process always "receives" its own message
-        continue;
-      }
-      const double ms = model_.sample_ms(src, dst);
-      if (sink_) sink_(src, dst, ms);
-      out.set(dst, src, classify(ms));
+    for (ProcessId src = 0; src < n; ++src, ++cell) {
+      *cell = src == dst ? 0.0 : model.sample_ms(src, dst);
     }
   }
 }
 
-void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
-  model_.begin_round(k);
-  const int n = model_.n();
-  for (ProcessId dst = 0; dst < n; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    for (ProcessId src = 0; src < n; ++src) {
-      if (src == dst) {
-        out.set_timely(dst, src);
-        continue;
-      }
-      const double ms = model_.sample_ms(src, dst);
-      if (sink_) sink_(src, dst, ms);
-      const Delay d = classify(ms);
-      if (d == 0) {
-        out.set_timely(dst, src);
-      } else {
-        out.store_untimely(dst, src, d);
-      }
-    }
-  }
-}
-
-FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
-    Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  model_.begin_round(k);
-  const int n = model_.n();
+FusedRoundEval classify_round(std::span<const double> latency,
+                              double timeout_ms, int max_delay_rounds,
+                              ProcessId leader, PackedLinkMatrix& out,
+                              ColumnDeficits& cols) {
+  const int n = out.n();
+  TM_CHECK(latency.size() == static_cast<std::size_t>(n) * n,
+           "latency plane size must match the matrix");
   FusedRoundEval eval;
   MaskAccum acc;
   acc.begin(n, leader, cols);
+  const double* cell = latency.data();
   for (ProcessId dst = 0; dst < n; ++dst) {
     std::uint64_t* row = out.mutable_row_words(dst);
     for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
     acc.begin_row();
-    for (ProcessId src = 0; src < n; ++src) {
+    for (ProcessId src = 0; src < n; ++src, ++cell) {
       if (src == dst) {
         out.set_timely(dst, src);
         acc.cell_timely(src);
         continue;
       }
-      const double ms = model_.sample_ms(src, dst);
-      if (sink_) sink_(src, dst, ms);
-      const Delay d = classify(ms);
+      const Delay d = classify_latency(*cell, timeout_ms, max_delay_rounds);
       if (d == 0) {
         out.set_timely(dst, src);
         acc.cell_timely(src);
@@ -205,6 +175,58 @@ FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
   }
   eval.mask = acc.finish();
   return eval;
+}
+
+LatencyTimelinessSampler::LatencyTimelinessSampler(LatencyModel& model,
+                                                   double timeout_ms,
+                                                   int max_delay_rounds)
+    : model_(model), timeout_ms_(timeout_ms),
+      max_delay_rounds_(max_delay_rounds) {
+  TM_CHECK(timeout_ms > 0.0, "timeout must be positive");
+}
+
+void LatencyTimelinessSampler::draw(Round k) {
+  draw_latency_round(model_, k, latency_);
+  if (!sink_) return;
+  const int n = model_.n();
+  const double* cell = latency_.data();
+  for (ProcessId dst = 0; dst < n; ++dst) {
+    for (ProcessId src = 0; src < n; ++src, ++cell) {
+      if (src != dst) sink_(src, dst, *cell);
+    }
+  }
+}
+
+void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
+  // The scalar reference: draws and classifies cell by cell, without the
+  // latency plane, so tests can hold the packed paths to it.
+  model_.begin_round(k);
+  const int n = model_.n();
+  for (ProcessId dst = 0; dst < n; ++dst) {
+    for (ProcessId src = 0; src < n; ++src) {
+      if (src == dst) {
+        out.set(dst, src, 0);  // a process always "receives" its own message
+        continue;
+      }
+      const double ms = model_.sample_ms(src, dst);
+      if (sink_) sink_(src, dst, ms);
+      out.set(dst, src, classify_latency(ms, timeout_ms_, max_delay_rounds_));
+    }
+  }
+}
+
+void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
+  draw(k);
+  // The fates are all the caller wants; the predicate mask is dropped.
+  classify_round(latency_, timeout_ms_, max_delay_rounds_, /*leader=*/0, out,
+                 cols_);
+}
+
+FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
+    Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
+  draw(k);
+  return classify_round(latency_, timeout_ms_, max_delay_rounds_, leader, out,
+                        cols);
 }
 
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,

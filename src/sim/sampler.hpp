@@ -17,9 +17,17 @@
 // fused path consumes the RNG in exactly the per-cell order of the scalar
 // sample_round, so for the same sub-stream it reproduces the exact same
 // matrices (asserted by tests/predicate_kernel_test.cpp).
+//
+// The latency sampler is two steps: draw_latency_round fills a round's
+// latency plane, then classify_round turns it into fates and the
+// predicate mask. The second step is pure in the plane, so a timeout
+// sweep draws each round once and classifies it against every timeout
+// (harness/measurement.hpp's measure_run_sweep).
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/latency_model.hpp"
@@ -71,12 +79,34 @@ void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval);
 using LatencySink =
     std::function<void(ProcessId src, ProcessId dst, double ms)>;
 
+/// Rounds a straggler may stay in flight before it counts as lost (keeps
+/// engine queues bounded).
+inline constexpr int kDefaultMaxDelayRounds = 64;
+
+/// Begins round k of `model` and draws its n(n-1) message latencies into
+/// `latency` (resized to n x n, row dst, column src) in (dst, src) order,
+/// the order every latency sampler path consumes the model's RNG in. The
+/// diagonal is 0 and not drawn.
+void draw_latency_round(LatencyModel& model, Round k,
+                        std::vector<double>& latency);
+
+/// Classifies one drawn round against `timeout_ms`: a latency within the
+/// timeout is timely, +inf or more than `max_delay_rounds` rounds late is
+/// lost, anything else is floor(latency / timeout) rounds late. Fills
+/// `out` (n x n, n = out.n(); `latency` holds n * n entries), tallies the
+/// off-diagonal fates and evaluates the four failure-free predicates for
+/// `leader`, exactly like a fused sample_round_and_evaluate. Reads nothing
+/// but its arguments, so one latency plane can be classified against any
+/// number of timeouts.
+FusedRoundEval classify_round(std::span<const double> latency,
+                              double timeout_ms, int max_delay_rounds,
+                              ProcessId leader, PackedLinkMatrix& out,
+                              ColumnDeficits& cols);
+
 class LatencyTimelinessSampler final : public TimelinessSampler {
  public:
-  /// `max_delay_rounds` caps how long a straggler stays in flight before
-  /// we count it as lost (keeps engine queues bounded).
   LatencyTimelinessSampler(LatencyModel& model, double timeout_ms,
-                           int max_delay_rounds = 64);
+                           int max_delay_rounds = kDefaultMaxDelayRounds);
 
   int n() const noexcept override { return model_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
@@ -89,13 +119,15 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
   double timeout_ms() const noexcept { return timeout_ms_; }
 
  private:
-  /// Fate of one sampled latency (kLost / 0 / rounds late).
-  Delay classify(double ms) const noexcept;
+  /// draw_latency_round into latency_, then feed the sink (if any).
+  void draw(Round k);
 
   LatencyModel& model_;
   double timeout_ms_;
   int max_delay_rounds_;
   LatencySink sink_;
+  std::vector<double> latency_;  ///< the current round's latency plane
+  ColumnDeficits cols_;          ///< reused by the packed sample_round
 };
 
 /// Direct Bernoulli sampler: entry timely with probability p, otherwise

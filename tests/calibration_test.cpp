@@ -272,8 +272,14 @@ TEST_F(LanCalibration, AverageLeaderNeedsBiggerTimeouts) {
   avg.rounds_per_run = 300;
   avg.seed = 7;
   avg.leader = pick_average_leader(expected_rtt_matrix(avg));
-  ASSERT_NE(avg.leader, resolve_leader(ExperimentConfig{
-                            Testbed::kLan, {0.1}, 1, 10, 1, 7}));
+  ExperimentConfig default_leader;
+  default_leader.testbed = Testbed::kLan;
+  default_leader.timeouts_ms = {0.1};
+  default_leader.runs = 1;
+  default_leader.rounds_per_run = 10;
+  default_leader.start_points = 1;
+  default_leader.seed = 7;
+  ASSERT_NE(avg.leader, resolve_leader(default_leader));
   const auto avg_rs = run_experiment(avg);
 
   auto first_reaching = [](const std::vector<TimeoutResult>& rs,

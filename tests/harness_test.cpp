@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "harness/algorithm_runs.hpp"
@@ -73,21 +74,50 @@ TEST(Measurement, DecisionStatsAveragesStartPoints) {
   EXPECT_GT(ds2.mean_rounds, 45.0) << "censored windows report remaining run";
 }
 
+/// Every field of two sweep points, compared exactly.
+void expect_same_result(const TimeoutResult& a, const TimeoutResult& b) {
+  EXPECT_EQ(a.timeout_ms, b.timeout_ms);
+  EXPECT_EQ(a.mean_p, b.mean_p);
+  EXPECT_EQ(a.granular, b.granular);
+  EXPECT_EQ(a.mean_class_pm, b.mean_class_pm);
+  for (TimingModel tm : kAllModels) {
+    const auto i = static_cast<std::size_t>(model_index(tm));
+    const ModelTimeoutStats& x = a.models[i];
+    const ModelTimeoutStats& y = b.models[i];
+    EXPECT_EQ(x.mean_pm, y.mean_pm) << to_string(tm);
+    EXPECT_EQ(x.ci95_pm, y.ci95_pm) << to_string(tm);
+    EXPECT_EQ(x.var_pm, y.var_pm) << to_string(tm);
+    EXPECT_EQ(x.mean_rounds, y.mean_rounds) << to_string(tm);
+    EXPECT_EQ(x.mean_time_ms, y.mean_time_ms) << to_string(tm);
+    EXPECT_EQ(x.censored_fraction, y.censored_fraction) << to_string(tm);
+    EXPECT_TRUE(x.rounds_hist == y.rounds_hist) << to_string(tm);
+  }
+}
+
 TEST(Experiments, PairedSeedsGiveIdenticalLatencies) {
-  // The same run index must see the same p regardless of other timeouts
-  // in the sweep (paired design).
-  ExperimentConfig a;
-  a.testbed = Testbed::kWan;
-  a.timeouts_ms = {200};
-  a.runs = 5;
-  a.rounds_per_run = 50;
-  a.seed = 11;
-  ExperimentConfig b = a;
-  b.timeouts_ms = {160, 200, 350};
-  const auto ra = run_experiment(a);
-  const auto rb = run_experiment(b);
-  EXPECT_DOUBLE_EQ(ra[0].mean_p, rb[1].mean_p);
-  EXPECT_DOUBLE_EQ(ra[0].models[2].mean_pm, rb[1].models[2].mean_pm);
+  // Paired design: a timeout's result must not depend on which other
+  // timeouts share its sweep, so a three-timeout sweep equals three
+  // single-timeout sweeps field for field, homogeneous and granular.
+  ExperimentConfig one;
+  one.testbed = Testbed::kWan;
+  one.runs = 5;
+  one.rounds_per_run = 50;
+  one.seed = 11;
+  for (const bool granular : {false, true}) {
+    if (granular) one.link_models = LinkModelMatrix::mixed(8, 0.2, 0.3, 5);
+    ExperimentConfig sweep = one;
+    sweep.timeouts_ms = {160, 200, 350};
+    const std::vector<TimeoutResult> all = run_experiment(sweep);
+    ASSERT_EQ(all.size(), sweep.timeouts_ms.size());
+    for (std::size_t ti = 0; ti < all.size(); ++ti) {
+      SCOPED_TRACE(testing::Message() << "granular=" << granular
+                                      << " timeout=" << all[ti].timeout_ms);
+      one.timeouts_ms = {sweep.timeouts_ms[ti]};
+      const std::vector<TimeoutResult> single = run_experiment(one);
+      ASSERT_EQ(single.size(), 1u);
+      expect_same_result(all[ti], single[0]);
+    }
+  }
 }
 
 TEST(Experiments, LeaderResolution) {
@@ -256,6 +286,138 @@ TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
     EXPECT_EQ(s.mean_rounds[idx], want_rounds[idx]) << to_string(tm);
     EXPECT_EQ(s.censored[idx], want_censored[idx]) << to_string(tm);
   }
+}
+
+/// Forwards to a latency model and counts its draws.
+class CountingModel final : public LatencyModel {
+ public:
+  explicit CountingModel(LatencyModel& inner) : inner_(inner) {}
+  int n() const noexcept override { return inner_.n(); }
+  void begin_round(Round k) override { inner_.begin_round(k); }
+  double sample_ms(ProcessId src, ProcessId dst) override {
+    ++draws;
+    return inner_.sample_ms(src, dst);
+  }
+  long long draws = 0;
+
+ private:
+  LatencyModel& inner_;
+};
+
+std::unique_ptr<LatencyModel> testbed_model(Testbed tb, std::uint64_t seed) {
+  if (tb == Testbed::kLan) {
+    return std::make_unique<LanLatencyModel>(LanProfile{}, seed);
+  }
+  return std::make_unique<WanLatencyModel>(WanProfile{}, seed);
+}
+
+void expect_same_run(const StreamedRun& a, const StreamedRun& b) {
+  EXPECT_EQ(a.messages_total, b.messages_total);
+  EXPECT_EQ(a.messages_timely, b.messages_timely);
+  EXPECT_EQ(a.messages_late, b.messages_late);
+  EXPECT_EQ(a.messages_lost, b.messages_lost);
+  EXPECT_EQ(a.pm, b.pm);
+  EXPECT_EQ(a.mean_rounds, b.mean_rounds);
+  EXPECT_EQ(a.censored, b.censored);
+}
+
+/// One run of `tb` swept over `timeouts` against a fresh single-timeout
+/// streamed run per timeout (same model seed, same start sub-stream):
+/// every statistic must agree bit for bit, and the sweep must draw each
+/// round's latencies once.
+void check_sweep_matches_streaming(Testbed tb,
+                                   const std::vector<double>& timeouts,
+                                   const GranularContext* g) {
+  const int rounds = 120;
+  const int start_points = 15;
+  const std::array<int, kNumModels> needed = {3, 3, 4, 5};
+  for (std::uint64_t run = 0; run < 3; ++run) {
+    SCOPED_TRACE(testing::Message() << "run=" << run);
+    const std::uint64_t seed = substream_seed(31, run);
+    const ProcessId leader = static_cast<ProcessId>(run + 2);
+    auto model = testbed_model(tb, seed);
+    CountingModel counted(*model);
+    Rng start_rng = substream(17, run);
+    const std::vector<GranularStreamedRun> sweep =
+        measure_run_sweep(counted, timeouts, rounds, leader, needed,
+                          start_points, start_rng, g);
+    const int n = counted.n();
+    EXPECT_EQ(counted.draws, static_cast<long long>(rounds) * n * (n - 1));
+    ASSERT_EQ(sweep.size(), timeouts.size());
+    for (std::size_t ti = 0; ti < timeouts.size(); ++ti) {
+      SCOPED_TRACE(testing::Message() << "timeout=" << timeouts[ti]);
+      auto fresh = testbed_model(tb, seed);
+      LatencyTimelinessSampler sampler(*fresh, timeouts[ti]);
+      Rng fresh_starts = substream(17, run);
+      if (g == nullptr) {
+        expect_same_run(sweep[ti].base,
+                        measure_run_streaming(sampler, rounds, leader,
+                                              needed, start_points,
+                                              fresh_starts));
+        EXPECT_EQ(sweep[ti].class_pm,
+                  (std::array<double, kNumLinkModelClasses>{}));
+      } else {
+        const GranularStreamedRun want = measure_run_streaming_granular(
+            sampler, rounds, leader, needed, start_points, fresh_starts, *g);
+        expect_same_run(sweep[ti].base, want.base);
+        EXPECT_EQ(sweep[ti].class_pm, want.class_pm);
+      }
+    }
+  }
+}
+
+// The fig1g sweep, plus a 1 ms timeout whose stragglers outlive
+// kDefaultMaxDelayRounds and count as lost.
+const std::vector<double> kWanTimeouts = {1,   140, 150, 160, 170, 180, 190,
+                                          200, 210, 230, 260, 300, 350};
+// The fig1c sweep.
+const std::vector<double> kLanTimeouts = {0.1,  0.15, 0.2, 0.25, 0.35,
+                                          0.5,  0.7,  0.9, 1.2,  1.6};
+
+TEST(RunSweep, MatchesStreamingPerTimeoutOnWan) {
+  check_sweep_matches_streaming(Testbed::kWan, kWanTimeouts, nullptr);
+}
+
+TEST(RunSweep, MatchesStreamingPerTimeoutOnLan) {
+  check_sweep_matches_streaming(Testbed::kLan, kLanTimeouts, nullptr);
+}
+
+TEST(RunSweep, MatchesGranularStreamingPerTimeout) {
+  const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 77)};
+  ASSERT_FALSE(g.all_sync());
+  check_sweep_matches_streaming(Testbed::kWan, kWanTimeouts, &g);
+  check_sweep_matches_streaming(Testbed::kLan, kLanTimeouts, &g);
+}
+
+TEST(RunSweep, DefaultFig1gSweepDrawsEachRoundOnce) {
+  // The paper's WAN method (33 runs x 300 rounds, 12 timeouts, n = 8) as
+  // run_experiment runs it: one measure_run_sweep per run. It draws
+  // 33 x 300 x 56 = 554,400 latencies; replaying every run once per
+  // timeout, as a single-timeout sampler does, draws 12x that.
+  ExperimentConfig cfg;
+  cfg.timeouts_ms = {140, 150, 160, 170, 180, 190,
+                     200, 210, 230, 260, 300, 350};
+  const ProcessId leader = resolve_leader(cfg);
+  long long sweep_draws = 0;
+  for (int run = 0; run < cfg.runs; ++run) {
+    WanLatencyModel model(cfg.wan, substream_seed(cfg.seed, run));
+    CountingModel counted(model);
+    Rng start_rng = substream(cfg.seed ^ 0xabcdef, run);
+    measure_run_sweep(counted, cfg.timeouts_ms, cfg.rounds_per_run, leader,
+                      cfg.decision_rounds, cfg.start_points, start_rng);
+    sweep_draws += counted.draws;
+  }
+  EXPECT_EQ(sweep_draws, 554400);
+
+  WanLatencyModel model(cfg.wan, substream_seed(cfg.seed, 0));
+  CountingModel counted(model);
+  LatencyTimelinessSampler sampler(counted, cfg.timeouts_ms[0]);
+  Rng start_rng = substream(cfg.seed ^ 0xabcdef, 0);
+  measure_run_streaming(sampler, cfg.rounds_per_run, leader,
+                        cfg.decision_rounds, cfg.start_points, start_rng);
+  const long long cells =
+      static_cast<long long>(cfg.timeouts_ms.size()) * cfg.runs;
+  EXPECT_EQ(counted.draws * cells, 6652800);
 }
 
 }  // namespace

@@ -238,6 +238,48 @@ TEST(FusedKernel, LatencyFusedReproducesScalarMatricesAndMask) {
   }
 }
 
+TEST(FusedKernel, OneLatencyPlaneClassifiesAgainstEveryTimeout) {
+  // classify_round is pure in the drawn plane: one draw classified at
+  // each timeout must equal the scalar sampler run afresh at that timeout
+  // on the same sub-stream — matrix, mask and fate tallies. The IID model
+  // reports latencies in units of its implied 1 ms timeout, so the short
+  // timeouts below turn its stragglers into late fates and, past
+  // kDefaultMaxDelayRounds, lost ones; n crosses the row-word boundary.
+  const double timeouts[] = {0.004, 0.01, 0.3, 1.0, 2.5, 40.0};
+  for (const int n : {2, 7, 63, 64, 65, 130}) {
+    IidLatencyModel model(n, 0.8, 0x5eed + static_cast<std::uint64_t>(n));
+    std::vector<IidLatencyModel> fresh;
+    for (std::size_t t = 0; t < std::size(timeouts); ++t) {
+      fresh.emplace_back(n, 0.8, 0x5eed + static_cast<std::uint64_t>(n));
+    }
+    std::vector<LatencyTimelinessSampler> scalar;
+    for (std::size_t t = 0; t < std::size(timeouts); ++t) {
+      scalar.emplace_back(fresh[t], timeouts[t]);
+    }
+    std::vector<double> latency;
+    LinkMatrix a(n);
+    PackedLinkMatrix q(n);
+    ColumnDeficits cols;
+    const ProcessId leader = n / 2;
+    for (Round k = 1; k <= 4; ++k) {
+      draw_latency_round(model, k, latency);
+      for (std::size_t t = 0; t < std::size(timeouts); ++t) {
+        const FusedRoundEval e = classify_round(
+            latency, timeouts[t], kDefaultMaxDelayRounds, leader, q, cols);
+        scalar[t].sample_round(k, a);
+        expect_same_matrix(a, q);
+        EXPECT_EQ(e.mask, evaluate_all(a, leader))
+            << "n=" << n << " k=" << k << " timeout=" << timeouts[t];
+        FusedRoundEval want;
+        tally_fates(q, want);
+        EXPECT_EQ(e.timely, want.timely);
+        EXPECT_EQ(e.late, want.late);
+        EXPECT_EQ(e.lost, want.lost);
+      }
+    }
+  }
+}
+
 TEST(FusedKernel, LatencyPackedSampleMatchesScalarSubstream) {
   WanProfile profile;
   WanLatencyModel scalar_model(profile, 5);

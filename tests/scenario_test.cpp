@@ -140,6 +140,39 @@ TEST(SpecTest, RejectsBadDecisionRounds) {
   EXPECT_EQ(validate(s), "decision_rounds entries must be >= 1");
 }
 
+TEST(SpecTest, DecisionWindowScenariosRejectRunsNoLongerThanAWindow) {
+  // A run of rounds_per_run <= max(decision_rounds) rounds cannot hold a
+  // decision window; the scenarios that measure windows must reject it
+  // up front instead of tripping the window tracker's check, while the
+  // ones that read rounds_per_run as a round cap keep accepting small
+  // values.
+  const std::set<std::string> windowed = {
+      "fig1c", "fig1d", "fig1e", "fig1f", "fig1g", "fig1h", "fig1i",
+      "ablation/group_size", "granular/fig1", "granular/ablation"};
+  for (const Scenario& sc : registry()) {
+    EXPECT_EQ(sc.decision_windows, windowed.count(sc.name) == 1) << sc.name;
+    ScenarioSpec s = sc.defaults();
+    s.rounds_per_run = 5;  // the default <>AFM window
+    EXPECT_EQ(validate(sc, s),
+              sc.decision_windows
+                  ? "rounds_per_run must exceed the longest decision "
+                    "window (5 rounds)"
+                  : "")
+        << sc.name;
+    s.rounds_per_run = 6;
+    EXPECT_EQ(validate(sc, s), "") << sc.name;
+  }
+  const Scenario& fig1g = *find_scenario("fig1g");
+  ScenarioSpec s = fig1g.defaults();
+  s.decision_rounds = {3, 3, 9, 5};
+  s.rounds_per_run = 9;
+  EXPECT_EQ(validate(fig1g, s),
+            "rounds_per_run must exceed the longest decision window (9 "
+            "rounds)");
+  s.runs = 0;  // spec-level errors still come first
+  EXPECT_EQ(validate(fig1g, s), "runs must be >= 1");
+}
+
 TEST(SpecTest, RejectsBadGroupSizes) {
   ScenarioSpec s;
   s.sampler = SamplerKind::kAnalysis;
