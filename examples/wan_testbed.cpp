@@ -104,6 +104,7 @@ int main() {
         cfg.timeout_ms = kTimeoutMs;
         cfg.max_rounds = 600;
         cfg.first_round = 1 + inst * 100000;
+        cfg.end_round = cfg.first_round + 100000;
         cfg.one_way_ms.clear();
         for (ProcessId j = 0; j < kN; ++j) {
           cfg.one_way_ms.push_back(site.ping.one_way_ms(j));

@@ -75,7 +75,7 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
   // Fan the runs out as independent trials. A run's randomness depends
   // only on (cfg.seed, run), so the executing thread and the thread count
   // are irrelevant to its output. Each trial draws its run's latencies
-  // once and classifies every round against every timeout — the paired
+  // once and ranks every round against the whole sweep — the paired
   // design: the same latency stream for every timeout. The latency
   // sub-stream and the start_rng draw order are the ones measure_run +
   // decision_stats consumed per (timeout, run) cell, so every statistic

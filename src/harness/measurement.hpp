@@ -198,13 +198,17 @@ GranularStreamedRun measure_run_streaming_granular(
     Rng& start_rng, const GranularContext& g);
 
 /// One run of `model` measured at every timeout of a sweep: each round's
-/// n(n-1) latencies are drawn once (draw_latency_round) and classified
-/// against each timeout (classify_round). Entry t is bit-identical to
-/// measure_run_streaming — or, with `g`, measure_run_streaming_granular —
-/// over a LatencyTimelinessSampler for timeouts_ms[t], given an
-/// identically seeded fresh model and `start_rng`: the model's RNG and
-/// the start points are consumed in the same order, once instead of once
-/// per timeout. Without `g`, class_pm stays zero.
+/// n(n-1) latencies are drawn once (draw_latency_round) and ranked once
+/// against the sorted distinct timeouts (rank_round). Each timeout's
+/// window trackers are fed "threshold <= its sorted index", and its fate
+/// tallies come from prefix sums of the run's rank histograms. Entry t is
+/// bit-identical to measure_run_streaming — or, with `g`,
+/// measure_run_streaming_granular — over a LatencyTimelinessSampler for
+/// timeouts_ms[t], given an identically seeded fresh model and
+/// `start_rng`: the model's RNG and the start points are consumed in the
+/// same order, once instead of once per timeout. Any timeout list works:
+/// unsorted, with duplicates, or empty (no entries). Without `g`,
+/// class_pm stays zero.
 std::vector<GranularStreamedRun> measure_run_sweep(
     LatencyModel& model, const std::vector<double>& timeouts_ms, int rounds,
     ProcessId leader, const std::array<int, kNumModels>& needed,

@@ -13,6 +13,7 @@ RoundSyncRunner::RoundSyncRunner(Protocol& protocol, Oracle* oracle,
     : protocol_(protocol), oracle_(oracle), transport_(transport), n_(n),
       cfg_(std::move(cfg)) {
   TM_CHECK(n > 1, "round sync needs n > 1");
+  TM_CHECK(cfg_.first_round < cfg_.end_round, "empty wire-round range");
   if (cfg_.one_way_ms.empty()) {
     cfg_.one_way_ms.assign(static_cast<std::size_t>(n), 0.0);
   }
@@ -40,6 +41,7 @@ void RoundSyncRunner::receiver_loop() {
     if (env->sender != from || env->sender < 0 || env->sender >= n_) continue;
     std::lock_guard lk(mu_);
     if (env->round < current_round_) continue;  // stale round; drop
+    if (env->round >= cfg_.end_round) continue;  // a later instance; drop
     if (cfg_.adaptive) {
       // Arrival offset within the local round. Messages for FUTURE rounds
       // arrived before we even started that round - maximally timely -
@@ -218,6 +220,7 @@ RoundSyncResult RoundSyncRunner::run() {
           next_base - cfg_.one_way_ms[static_cast<std::size_t>(jump_from)];
       k = jump_to;
     } else {
+      if (k + 1 >= cfg_.end_round) break;  // out of this runner's range
       duration_ms = next_base;
       k = k + 1;
     }

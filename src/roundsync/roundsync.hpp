@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -36,11 +37,16 @@ namespace timing {
 struct RoundSyncConfig {
   double timeout_ms = 50.0;  ///< round duration (the experiments' knob)
   int max_rounds = 1000;     ///< hard stop (counted in compute() calls)
-  /// First round number used on the wire. Successive consensus instances
-  /// sharing one transport should use disjoint, increasing ranges so that
-  /// a lingering DECIDE of instance k can never be mistaken for a
-  /// message of instance k+1 (stale rounds are dropped by the receiver).
+  /// This runner's wire rounds are [first_round, end_round). Successive
+  /// consensus instances sharing one transport must use disjoint,
+  /// increasing ranges: the receiver drops envelopes of earlier rounds
+  /// (a lingering DECIDE of instance k) and of rounds at or past
+  /// end_round, and the driver never enters them, so a runner lagging in
+  /// instance k can never adopt instance k+1's rounds. It stops undecided
+  /// or learns its own instance's decision instead. The default end
+  /// leaves the range unbounded, for a runner that owns the transport.
   Round first_round = 1;
+  Round end_round = std::numeric_limits<Round>::max();
   /// L_i[j]: one-way latency estimates (ms), e.g. from measure_peer_rtts.
   /// Empty means all zero.
   std::vector<double> one_way_ms;

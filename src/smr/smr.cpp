@@ -186,6 +186,7 @@ std::vector<SmrNodeInstance> SmrNode::run(
     rcfg.timeout_ms = cfg_.timeout_ms;
     rcfg.max_rounds = cfg_.max_rounds_per_instance;
     rcfg.first_round = smr_first_round(inst, cfg_.instance_round_stride);
+    rcfg.end_round = rcfg.first_round + cfg_.instance_round_stride;
     rcfg.one_way_ms = cfg_.one_way_ms;
     rcfg.spans = spans;
     rcfg.parent_span = inst_span;

@@ -107,6 +107,7 @@ TEST(Integration, RepeatedInstancesOverUdp) {
         cfg.timeout_ms = 25.0;
         cfg.max_rounds = 200;
         cfg.first_round = 1 + inst * 100000;  // disjoint instance ranges
+        cfg.end_round = cfg.first_round + 100000;
         RoundSyncRunner runner(*protocol, &oracle, transport, kN, cfg);
         const auto r = runner.run();
         decisions[static_cast<std::size_t>(i)][static_cast<std::size_t>(

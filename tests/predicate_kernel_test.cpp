@@ -7,11 +7,14 @@
 // sub-stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "models/link_model_matrix.hpp"
 #include "models/predicates.hpp"
 #include "models/schedule.hpp"
 #include "sim/link_matrix.hpp"
@@ -333,6 +336,67 @@ TEST(FusedKernel, DefaultFusedPathMatchesDirectKernels) {
       }
     }
   }
+}
+
+// Every predicate only gains from a timely link: turning one untimely
+// cell timely never clears a bit of the homogeneous mask or of the
+// granular sat and csat masks, with or without crashes. The timeout
+// sweep's rank step (sim/sampler.hpp's rank_round) is exact because of
+// this property.
+TEST(PredicateMonotonicity, OneMoreTimelyLinkNeverClearsABit) {
+  Rng rng(0x303eULL);
+  long long gained = 0;  // flips that set some bit: the property has teeth
+  for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65}) {
+    for (const double p : {0.5, 0.85, 0.97}) {
+      LinkMatrix a = random_matrix(n, p, rng);
+      PackedLinkMatrix q(n);
+      q.assign_from(a);
+      const GranularContext g{LinkModelMatrix::mixed(n, 0.25, 0.3, rng.next())};
+      CorrectMask correct(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) correct[i] = rng.bernoulli(0.8);
+      const auto leader = static_cast<ProcessId>(
+          rng.uniform_int(static_cast<std::uint64_t>(n)));
+      std::vector<std::pair<ProcessId, ProcessId>> untimely;
+      for (ProcessId d = 0; d < n; ++d) {
+        for (ProcessId s = 0; s < n; ++s) {
+          if (!a.timely(d, s)) untimely.emplace_back(d, s);
+        }
+      }
+      for (std::size_t i = untimely.size(); i > 1; --i) {
+        std::swap(untimely[i - 1], untimely[rng.uniform_int(i)]);
+      }
+      untimely.resize(std::min<std::size_t>(untimely.size(), 24));
+
+      for (const CorrectMask* c : {static_cast<const CorrectMask*>(nullptr),
+                                   static_cast<const CorrectMask*>(&correct)}) {
+        // Scalar and packed homogeneous masks, then granular sat | csat << 4.
+        const auto masks = [&] {
+          const GranularEval gs = evaluate_all_granular(a, leader, g, c);
+          const GranularEval gp = evaluate_all_granular(q, leader, g, c);
+          return std::array<unsigned, 4>{
+              evaluate_all(a, leader, c), evaluate_all(q, leader, c),
+              gs.sat | (static_cast<unsigned>(gs.csat) << 4),
+              gp.sat | (static_cast<unsigned>(gp.csat) << 4)};
+        };
+        const std::array<unsigned, 4> before = masks();
+        for (const auto& [d, s] : untimely) {
+          const Delay old = a.at(d, s);
+          a.set(d, s, 0);
+          q.set(d, s, 0);
+          const std::array<unsigned, 4> after = masks();
+          a.set(d, s, old);
+          q.set(d, s, old);
+          for (std::size_t k = 0; k < before.size(); ++k) {
+            ASSERT_EQ(after[k] & before[k], before[k])
+                << "n=" << n << " p=" << p << " crash=" << (c != nullptr)
+                << " cell (" << d << ", " << s << ") mask " << k;
+          }
+          if (after != before) ++gained;
+        }
+      }
+    }
+  }
+  EXPECT_GT(gained, 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // fast-forward joins for lagging nodes, and decision consistency.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -227,6 +228,54 @@ TEST(RoundSync, HonoursMaxRounds) {
     EXPECT_FALSE(r.decided);
     EXPECT_EQ(r.rounds_executed, 20);
   }
+}
+
+TEST(RoundSync, LaggingRunnerNeverAdoptsTheNextInstancesRounds) {
+  // Nodes 0 and 1 run instances 0 and 1 to completion before node 2
+  // starts (a start gate, not a sleep), so node 2's inbox already holds
+  // both instances' traffic when its instance-0 runner begins. That runner
+  // must learn instance 0's decision or stop undecided; it must never
+  // jump into instance 1's rounds and decide instance 1's value.
+  constexpr int kN = 3;
+  constexpr int kInstances = 2;
+  constexpr Round kStride = 100000;
+  auto hub = std::make_shared<InProcHub>(kN);
+  std::array<std::array<Value, kInstances>, kN> decisions{};
+  const auto run_node = [&](ProcessId i) {
+    InProcTransport transport(hub, i);
+    DesignatedOracle oracle(1);
+    for (int inst = 0; inst < kInstances; ++inst) {
+      auto protocol =
+          make_protocol(AlgorithmKind::kWlm, i, kN, 1000 * (inst + 1) + i);
+      RoundSyncConfig cfg;
+      cfg.timeout_ms = 10.0;
+      cfg.max_rounds = 60;
+      cfg.first_round = 1 + inst * kStride;
+      cfg.end_round = cfg.first_round + kStride;
+      RoundSyncRunner runner(*protocol, &oracle, transport, kN, cfg);
+      const bool decided = runner.run().decided;
+      decisions[static_cast<std::size_t>(i)][static_cast<std::size_t>(inst)] =
+          decided ? protocol->decision() : kNoValue;
+    }
+  };
+  std::thread node0(run_node, 0);
+  std::thread node1(run_node, 1);
+  node0.join();
+  node1.join();
+  std::thread(run_node, 2).join();
+
+  for (std::size_t inst = 0; inst < kInstances; ++inst) {
+    SCOPED_TRACE(testing::Message() << "instance " << inst);
+    ASSERT_NE(decisions[0][inst], kNoValue);
+    EXPECT_EQ(decisions[1][inst], decisions[0][inst]);
+    if (decisions[2][inst] != kNoValue) {
+      EXPECT_EQ(decisions[2][inst], decisions[0][inst])
+          << "the lagging node decided another instance's value";
+    }
+  }
+  // Its inbox holds instance 0's DECIDE messages, so node 2 learns the
+  // decision instead of stopping undecided.
+  EXPECT_EQ(decisions[2][0], decisions[0][0]);
 }
 
 }  // namespace

@@ -548,5 +548,47 @@ TEST(SmrNode, ReplicatedKvOverTheHub) {
   }
 }
 
+TEST(SmrNode, LaggingReplicaNeverDecidesAnotherSlotsCommand) {
+  // Replicas 0 and 1 run every instance to completion before replica 2
+  // starts (a start gate, not a sleep), so replica 2's inbox already holds
+  // every instance's traffic. Each command replica 2 decides must be the
+  // other replicas' command for that slot.
+  constexpr int kN = 3;
+  constexpr int kInstances = 2;
+  auto hub = std::make_shared<InProcHub>(kN);
+  std::vector<std::vector<SmrNodeInstance>> logs(kN);
+  const auto run_replica = [&](ProcessId i) {
+    InProcTransport transport(hub, i);
+    SmrNodeConfig cfg;
+    cfg.n = kN;
+    cfg.self = i;
+    cfg.timeout_ms = 10.0;
+    cfg.leader = 1;
+    cfg.max_rounds_per_instance = 60;
+    SmrNode node(cfg, transport, std::make_unique<KvStateMachine>());
+    logs[static_cast<std::size_t>(i)] = node.run(kInstances, [i](int inst) {
+      return make_kv_command(static_cast<std::uint32_t>(inst),
+                             static_cast<std::uint32_t>(10 * inst + i));
+    });
+  };
+  std::thread replica0(run_replica, 0);
+  std::thread replica1(run_replica, 1);
+  replica0.join();
+  replica1.join();
+  std::thread(run_replica, 2).join();
+
+  for (std::size_t slot = 0; slot < kInstances; ++slot) {
+    SCOPED_TRACE(testing::Message() << "slot " << slot);
+    ASSERT_TRUE(logs[0][slot].decided);
+    ASSERT_TRUE(logs[1][slot].decided);
+    EXPECT_EQ(logs[1][slot].command, logs[0][slot].command);
+    if (logs[2][slot].decided) {
+      EXPECT_EQ(logs[2][slot].command, logs[0][slot].command)
+          << "the lagging replica decided another slot's command";
+    }
+  }
+  EXPECT_TRUE(logs[2][0].decided);
+}
+
 }  // namespace
 }  // namespace timing
