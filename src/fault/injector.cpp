@@ -173,13 +173,13 @@ void FaultInjector::emit_transitions(Round k) {
     switch (e.kind) {
       case FaultKind::kCrash:
       case FaultKind::kRecover:
-        trace_emit(cfg_.sink, TraceEvent::fault(
-                                  k, static_cast<std::uint8_t>(e.kind),
-                                  e.proc));
+        TM_TRACE(cfg_.sink, TraceEvent::fault(
+                                k, static_cast<std::uint8_t>(e.kind),
+                                e.proc));
         break;
       case FaultKind::kGsr:
-        trace_emit(cfg_.sink,
-                   TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind)));
+        TM_TRACE(cfg_.sink,
+                 TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind)));
         break;
       default:
         break;
@@ -211,8 +211,8 @@ void FaultInjector::apply_impl(Round k, Matrix& a) {
     switch (e.kind) {
       case FaultKind::kPartition: {
         if (!in_window(k, e.from, e.to)) break;
-        trace_emit(cfg_.sink,
-                   TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind)));
+        TM_TRACE(cfg_.sink,
+                 TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind)));
         for (std::size_t g = 0; g < e.groups.size(); ++g) {
           for (std::size_t h = 0; h < e.groups.size(); ++h) {
             if (g == h) continue;
@@ -227,9 +227,9 @@ void FaultInjector::apply_impl(Round k, Matrix& a) {
       }
       case FaultKind::kSuppressLeader: {
         if (!in_window(k, e.from, e.to) || cfg_.leader == kNoProcess) break;
-        trace_emit(cfg_.sink,
-                   TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
-                                     cfg_.leader));
+        TM_TRACE(cfg_.sink,
+                 TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
+                                   cfg_.leader));
         for (ProcessId dst = 0; dst < n; ++dst) {
           if (dst != cfg_.leader) a.set(dst, cfg_.leader, kLost);
         }
@@ -245,9 +245,9 @@ void FaultInjector::apply_impl(Round k, Matrix& a) {
             if (drop_coin(cfg_.seed, i, k, src, dst) >= e.prob) continue;
             if (a.at(dst, src) == kLost) continue;  // nothing to drop
             a.set(dst, src, kLost);
-            trace_emit(cfg_.sink,
-                       TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
-                                         kNoProcess, src, dst));
+            TM_TRACE(cfg_.sink,
+                     TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
+                                       kNoProcess, src, dst));
           }
         }
         break;
@@ -267,9 +267,9 @@ void FaultInjector::apply_impl(Round k, Matrix& a) {
             const Delay nd = static_cast<Delay>(
                 std::min<int>(cur + extra, kMaxInjectedDelay));
             a.set(dst, src, nd);
-            trace_emit(cfg_.sink,
-                       TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
-                                         kNoProcess, src, dst, extra));
+            TM_TRACE(cfg_.sink,
+                     TraceEvent::fault(k, static_cast<std::uint8_t>(e.kind),
+                                       kNoProcess, src, dst, extra));
           }
         }
         break;

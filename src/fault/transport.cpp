@@ -38,25 +38,25 @@ bool FaultInjectedTransport::send(ProcessId dst, const Bytes& bytes) {
 
   // Drop checks in a fixed order so the emitted reason is deterministic.
   if (injector_.crashed_in(self, k)) {
-    trace_emit(trace_sink_, TraceEvent::fault(k, kCrashU8, self));
+    TM_TRACE(trace_sink_, TraceEvent::fault(k, kCrashU8, self));
     return true;  // the network ate it
   }
   if (injector_.crashed_in(dst, k)) {
-    trace_emit(trace_sink_, TraceEvent::fault(k, kCrashU8, dst));
+    TM_TRACE(trace_sink_, TraceEvent::fault(k, kCrashU8, dst));
     return true;
   }
   if (injector_.partitioned(self, dst, k)) {
-    trace_emit(trace_sink_,
-               TraceEvent::fault(k, kPartU8, kNoProcess, self, dst));
+    TM_TRACE(trace_sink_,
+             TraceEvent::fault(k, kPartU8, kNoProcess, self, dst));
     return true;
   }
   if (injector_.suppressed(self, k)) {
-    trace_emit(trace_sink_, TraceEvent::fault(k, kSuppU8, self));
+    TM_TRACE(trace_sink_, TraceEvent::fault(k, kSuppU8, self));
     return true;
   }
   if (injector_.drop_fires(k, self, dst)) {
-    trace_emit(trace_sink_,
-               TraceEvent::fault(k, kDropU8, kNoProcess, self, dst));
+    TM_TRACE(trace_sink_,
+             TraceEvent::fault(k, kDropU8, kNoProcess, self, dst));
     return true;
   }
   return inner_.send(dst, bytes);
@@ -104,15 +104,15 @@ bool FaultInjectedTransport::recv(Bytes& out, ProcessId& from,
     // Recipient-side crash isolation: covers senders that are not
     // themselves decorated.
     if (injector_.crashed_in(self, k)) {
-      trace_emit(trace_sink_, TraceEvent::fault(k, kCrashU8, self));
+      TM_TRACE(trace_sink_, TraceEvent::fault(k, kCrashU8, self));
       continue;
     }
     const double extra_ms = injector_.extra_delay_ms(k, src, self);
     if (extra_ms > 0.0) {
-      trace_emit(trace_sink_,
-                 TraceEvent::fault(
-                     k, kDelayU8, kNoProcess, src, self,
-                     std::max(1, static_cast<int>(std::ceil(extra_ms)))));
+      TM_TRACE(trace_sink_,
+               TraceEvent::fault(
+                   k, kDelayU8, kNoProcess, src, self,
+                   std::max(1, static_cast<int>(std::ceil(extra_ms)))));
       held_.push_back(HeldPacket{
           now + std::chrono::microseconds(
                     static_cast<long long>(extra_ms * 1000.0)),

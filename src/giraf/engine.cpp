@@ -61,7 +61,7 @@ Round RoundEngine::step_impl(const Matrix& fates) {
   TM_CHECK(fates.n() == n(), "matrix size mismatch");
   lazy_initialize();
   ++k_;
-  trace_emit(trace_, TraceEvent::round_start(k_));
+  TM_TRACE(trace_, TraceEvent::round_start(k_));
   const bool sp_on = spans_ != nullptr && spans_->enabled();
   const std::uint64_t rs_id =
       sp_on ? make_span_id(span_kind::kRound, static_cast<std::uint64_t>(k_),
@@ -88,22 +88,22 @@ Round RoundEngine::step_impl(const Matrix& fates) {
       ++stats_.messages_sent;
       ++msgs_last_round_;
       const Delay fate = fates.at(d, i);
-      trace_emit(trace_, TraceEvent::msg(EventKind::kMsgSent, k_, i, d));
+      TM_TRACE(trace_, TraceEvent::msg(EventKind::kMsgSent, k_, i, d));
       if (fate == kLost) {
         ++stats_.lost_messages;
-        trace_emit(trace_, TraceEvent::msg(EventKind::kMsgLost, k_, i, d));
+        TM_TRACE(trace_, TraceEvent::msg(EventKind::kMsgLost, k_, i, d));
       } else if (fate == 0) {
         ++stats_.timely_deliveries;
         if (k_ < crash_round_[d]) rows_[d][i] = outbox_[i].msg;
-        trace_emit(trace_, TraceEvent::msg(EventKind::kMsgTimely, k_, i, d));
+        TM_TRACE(trace_, TraceEvent::msg(EventKind::kMsgTimely, k_, i, d));
       } else {
         ++stats_.late_messages;
         in_flight_.push_back(InFlight{k_ + fate, d, i});
         // The message's fate is known at sampling time; record it in the
         // round it belongs to (by the time it arrives, that round's
         // computation is over and it can no longer matter).
-        trace_emit(trace_,
-                   TraceEvent::msg(EventKind::kMsgLate, k_, i, d, fate));
+        TM_TRACE(trace_,
+                 TraceEvent::msg(EventKind::kMsgLate, k_, i, d, fate));
       }
     }
   }
@@ -122,7 +122,7 @@ Round RoundEngine::step_impl(const Matrix& fates) {
     const bool was_decided = procs_[i]->has_decided();
     const ProcessId ld = hint(i, k_);
     if (oracle_ != nullptr) {
-      trace_emit(trace_, TraceEvent::oracle(k_, i, ld));
+      TM_TRACE(trace_, TraceEvent::oracle(k_, i, ld));
     }
     outbox_[i] = procs_[i]->compute(k_, rows_[i], ld);
     if (!was_decided && procs_[i]->has_decided()) {
@@ -130,7 +130,7 @@ Round RoundEngine::step_impl(const Matrix& fates) {
     }
   }
   if (sp_on) spans_->end(rs_id, span_kind::kRound, k_);
-  trace_emit(trace_, TraceEvent::round_end(k_));
+  TM_TRACE(trace_, TraceEvent::round_end(k_));
   return k_;
 }
 

@@ -69,7 +69,7 @@ class Protocol {
   /// decide rule fires (see obs/trace_event.hpp for the rule tags).
   void trace_decide(Round k, ProcessId self, Value v,
                     std::uint8_t rule) const {
-    trace_emit(trace_sink_, TraceEvent::decide(k, self, v, rule));
+    TM_TRACE(trace_sink_, TraceEvent::decide(k, self, v, rule));
   }
 
   TraceSink* trace_sink_ = nullptr;

@@ -204,7 +204,7 @@ std::uint8_t evaluate_all_impl(const Matrix& a, ProcessId leader,
                                Round k) {
   TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
   const std::uint8_t mask = evaluate_mask(a, leader, correct);
-  trace_emit(sink, TraceEvent::predicates(k, mask));
+  TM_TRACE(sink, TraceEvent::predicates(k, mask));
   return mask;
 }
 
@@ -395,7 +395,7 @@ GranularEval evaluate_all_granular_impl(const Matrix& a, ProcessId leader,
   TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
   TM_CHECK(g.n() == a.n(), "link model matrix size mismatch");
   const GranularEval e = evaluate_granular_mask(a, leader, g, correct);
-  trace_emit(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
+  TM_TRACE(sink, TraceEvent::granular_predicates(k, e.sat, e.csat));
   return e;
 }
 

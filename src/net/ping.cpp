@@ -63,8 +63,8 @@ PingReport measure_peer_rtts(Transport& transport, int n,
     if (!frame) {
       // Malformed frame - dropped here, visible through the transport's
       // sink (round 0 = below the round abstraction).
-      trace_emit(transport.trace_sink(),
-                 TraceEvent::msg(EventKind::kMsgLost, 0, from, self));
+      TM_TRACE(transport.trace_sink(),
+               TraceEvent::msg(EventKind::kMsgLost, 0, from, self));
       continue;
     }
     if (const auto* ping = std::get_if<PingFrame>(&*frame)) {
@@ -85,8 +85,8 @@ PingReport measure_peer_rtts(Transport& transport, int n,
     } else {
       // Envelopes arriving early (a peer already past the ping phase) are
       // dropped here; round synchronization resynchronizes regardless.
-      trace_emit(transport.trace_sink(),
-                 TraceEvent::msg(EventKind::kMsgLost, 0, from, self));
+      TM_TRACE(transport.trace_sink(),
+               TraceEvent::msg(EventKind::kMsgLost, 0, from, self));
     }
   }
 

@@ -103,8 +103,8 @@ class InProcTransport final : public Transport {
   bool send(ProcessId dst, const Bytes& bytes) override {
     if (!hub_->post(self_, dst, bytes)) {
       // Wire-level loss sampled by the hub's latency model.
-      trace_emit(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
-                                              self_, dst));
+      TM_TRACE(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
+                                            self_, dst));
     }
     return true;  // local send succeeded; the "network" ate it
   }

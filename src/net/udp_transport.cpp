@@ -57,8 +57,8 @@ bool UdpTransport::send(ProcessId dst, const Bytes& bytes) {
   if (sent != static_cast<ssize_t>(bytes.size())) {
     // Local send failure (full socket buffer, etc.) - the datagram never
     // left this host.
-    trace_emit(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
-                                            self_, dst));
+    TM_TRACE(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
+                                          self_, dst));
     return false;
   }
   return true;
@@ -98,8 +98,8 @@ bool UdpTransport::recv(Bytes& out, ProcessId& from,
       // Stray datagram from an unknown port - dropped. The true source
       // has no ProcessId, so the event reports src == self (see
       // Transport::set_trace_sink).
-      trace_emit(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
-                                              self_, self_));
+      TM_TRACE(trace_sink_, TraceEvent::msg(EventKind::kMsgLost, 0,
+                                            self_, self_));
       continue;
     }
     return true;

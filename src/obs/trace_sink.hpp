@@ -3,8 +3,9 @@
 // Design constraints, in order:
 //  1. ZERO overhead when tracing is off. Every instrumented component
 //     holds a raw `TraceSink*` that is null by default; emission sites
-//     compile to one predictable branch (`if (sink) ...`). There is no
-//     global registry and no virtual call on the off path.
+//     (TM_TRACE) compile to one predictable branch (`if (sink) ...`)
+//     and build their event only behind it. There is no global
+//     registry and no virtual call on the off path.
 //  2. Determinism under the parallel trial runner. A sink is owned by
 //     exactly one trial and written from whatever pool thread runs that
 //     trial — never shared — so BufferSink needs no locks ("lock-free
@@ -27,11 +28,20 @@ class TraceSink {
   virtual void record(const TraceEvent& e) = 0;
 };
 
-/// Emit helper: the canonical null-safe call used by all instrumented
-/// code. Keeps the off-path branch in one place.
-inline void trace_emit(TraceSink* sink, const TraceEvent& e) {
-  if (sink != nullptr) sink->record(e);
-}
+/// Emission site: the canonical null-safe call used by all instrumented
+/// code, `TM_TRACE(sink, TraceEvent::msg(...))`. The event expression is
+/// evaluated only when a sink is attached, so with tracing off a site is
+/// one pointer test that falls through ([[unlikely]] moves the record
+/// path out of line): no event is built on the stack and nothing is
+/// spilled around a record() call that never happens. (A function taking
+/// the event by reference cannot promise this: the event is materialized
+/// before the test.)
+#define TM_TRACE(sink, ...)                                          \
+  do {                                                               \
+    if (::timing::TraceSink* tm_trace_sink_ = (sink)) [[unlikely]] { \
+      tm_trace_sink_->record(__VA_ARGS__);                           \
+    }                                                                \
+  } while (0)
 
 /// Per-trial in-memory recorder. Single-writer; appends are amortized
 /// O(1) vector pushes.

@@ -64,7 +64,7 @@ SendSpec OmegaElection::compute(Round k, const RoundMsgs& received,
   }
   // This is the process's Omega output for round k — exactly what the
   // inner protocol receives as its oracle hint below.
-  trace_emit(trace_sink_, TraceEvent::oracle(k, self_, leader_));
+  TM_TRACE(trace_sink_, TraceEvent::oracle(k, self_, leader_));
 
   SendSpec spec = inner_->compute(k, received, leader_);
   spec.msg.punish = punish_;

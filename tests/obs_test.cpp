@@ -54,8 +54,22 @@ namespace {
 // Sinks.
 
 TEST(TraceSink, NullSinkIsANoOp) {
-  // trace_emit on a null sink must be safe (the off-by-default path).
-  trace_emit(nullptr, TraceEvent::round_start(1));
+  // TM_TRACE on a null sink must be safe (the off-by-default path) and
+  // must not even build the event; with a sink it builds it once.
+  int built = 0;
+  const auto make = [&] {
+    ++built;
+    return TraceEvent::round_end(7);
+  };
+  TraceSink* off = nullptr;
+  TM_TRACE(off, make());
+  EXPECT_EQ(built, 0);
+  BufferSink sink;
+  TM_TRACE(&sink, make());
+  EXPECT_EQ(built, 1);
+  ASSERT_EQ(sink.events().size(), 1u);
+  EXPECT_EQ(sink.events()[0].kind, EventKind::kRoundEnd);
+  EXPECT_EQ(sink.events()[0].round, 7);
 }
 
 TEST(TraceSink, BufferSinkCapCountsDrops) {
