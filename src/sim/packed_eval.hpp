@@ -245,21 +245,22 @@ class GranularPlanes {
 
   GranularPlanes() = default;
 
-  /// `class_of(dst, src)` returns the class index of link (dst <- src).
+  /// `class_fn(dst, src)` returns the class index of link (dst <- src).
   /// Self links must be required (class 0 or 1).
   template <class ClassFn>
-  GranularPlanes(int n, ClassFn&& class_of)
+  GranularPlanes(int n, ClassFn&& class_fn)
       : n_(n),
         words_((n + PackedLinkMatrix::kWordBits - 1) /
                PackedLinkMatrix::kWordBits),
         require_(static_cast<std::size_t>(n) * words_, 0),
+        require_row_(static_cast<std::size_t>(n), 0),
         require_col_(static_cast<std::size_t>(n), 0) {
     for (auto& plane : cls_) {
       plane.assign(static_cast<std::size_t>(n) * words_, 0);
     }
     for (ProcessId dst = 0; dst < n; ++dst) {
       for (ProcessId src = 0; src < n; ++src) {
-        const int c = class_of(dst, src);
+        const int c = class_fn(dst, src);
         const std::size_t idx =
             static_cast<std::size_t>(dst) * words_ +
             static_cast<std::size_t>(src / PackedLinkMatrix::kWordBits);
@@ -269,6 +270,7 @@ class GranularPlanes {
         cls_[static_cast<std::size_t>(c)][idx] |= bit;
         if (c < kNumRequiredClasses) {
           require_[idx] |= bit;
+          ++require_row_[static_cast<std::size_t>(dst)];
           ++require_col_[static_cast<std::size_t>(src)];
         }
       }
@@ -285,6 +287,10 @@ class GranularPlanes {
     return cls_[static_cast<std::size_t>(c)].data() +
            static_cast<std::size_t>(dst) * words_;
   }
+  /// Number of required links into row `dst` over all n columns.
+  int require_row_count(ProcessId dst) const noexcept {
+    return require_row_[static_cast<std::size_t>(dst)];
+  }
   /// Number of required links into column `src` over all n rows.
   int require_col(ProcessId src) const noexcept {
     return require_col_[static_cast<std::size_t>(src)];
@@ -294,12 +300,23 @@ class GranularPlanes {
             (static_cast<unsigned>(src) % PackedLinkMatrix::kWordBits)) &
            1u;
   }
+  /// Class index of link (dst <- src).
+  int class_of(ProcessId dst, ProcessId src) const noexcept {
+    const int w = src / PackedLinkMatrix::kWordBits;
+    const auto bit =
+        static_cast<unsigned>(src) % PackedLinkMatrix::kWordBits;
+    for (int c = 0; c + 1 < kNumClasses; ++c) {
+      if ((class_row(c, dst)[w] >> bit) & 1u) return c;
+    }
+    return kNumClasses - 1;
+  }
 
  private:
   int n_ = 0;
   int words_ = 0;
   std::vector<std::uint64_t> require_;
   std::array<std::vector<std::uint64_t>, kNumClasses> cls_;
+  std::vector<int> require_row_;
   std::vector<int> require_col_;
 };
 

@@ -133,6 +133,31 @@ TEST(LinkModelMatrix, MixedIsDeterministicAndHitsTheFractions) {
   EXPECT_TRUE(any_diff) << "different seeds should shuffle differently";
 }
 
+TEST(GranularPlanes, ClassesAndRequiredCountsMatchTheMatrix) {
+  for (const int n : {2, 7, 63, 64, 65, 130}) {
+    const GranularContext g(LinkModelMatrix::mixed(n, 0.3, 0.5, 17));
+    const GranularPlanes& planes = g.planes();
+    std::vector<int> col(static_cast<std::size_t>(n), 0);
+    for (ProcessId d = 0; d < n; ++d) {
+      int row = 0;
+      for (ProcessId s = 0; s < n; ++s) {
+        const auto c = g.matrix().at(d, s);
+        ASSERT_EQ(planes.class_of(d, s), static_cast<int>(c))
+            << "n=" << n << " link " << d << "<-" << s;
+        const bool required = c != LinkModelClass::kAsync;
+        ASSERT_EQ(planes.require(d, s), required);
+        row += required ? 1 : 0;
+        col[static_cast<std::size_t>(s)] += required ? 1 : 0;
+      }
+      EXPECT_EQ(planes.require_row_count(d), row) << "n=" << n;
+    }
+    for (ProcessId s = 0; s < n; ++s) {
+      EXPECT_EQ(planes.require_col(s), col[static_cast<std::size_t>(s)])
+          << "n=" << n;
+    }
+  }
+}
+
 TEST(GranularEquivalence, AllSyncMatchesHomogeneousForAllN) {
   Rng rng(0x9ea4ULL);
   for (int n = 1; n <= 65; ++n) {
