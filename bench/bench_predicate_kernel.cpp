@@ -1,12 +1,12 @@
 // Predicate-kernel bench: scalar per-cell predicate evaluation vs the
-// packed bit-plane kernel, and the split sample-then-evaluate round vs
-// the fused sample-and-evaluate kernel, on IID matrices in the paper's
-// high-p regime (p = 0.9) at n in {8, 32, 128}.
+// packed bit-plane kernel, homogeneous (the kernel over all-sync planes)
+// and granular (a mixed link-class matrix), on IID matrices in the
+// paper's high-p regime (p = 0.9) at n in {8, 32, 128}.
 //
 // The contract (gated, exit code 1 on failure): the packed evaluate_all
-// is at least 3x the scalar one at n = 32 single-threaded. Both paths'
-// masks are cross-checked cell-for-cell while timing, so a kernel that
-// got fast by being wrong fails loudly instead.
+// and evaluate_all_granular are each at least 3x their scalar oracle at
+// n = 32 single-threaded. Both paths' masks are cross-checked before
+// timing, so a kernel that got fast by being wrong fails loudly instead.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -14,7 +14,6 @@
 
 #include "models/link_model_matrix.hpp"
 #include "models/predicates.hpp"
-#include "sim/packed_eval.hpp"
 #include "sim/sampler.hpp"
 
 using namespace timing;
@@ -151,46 +150,6 @@ int main() {
     std::printf("  %-6d %9.1f ns %9.1f ns %8.2fx%s\n", n, scalar_ns,
                 packed_ns, speedup, n == 32 ? "  <- gated (>= 3x)" : "");
     if (n == 32 && speedup < 3.0) gate_ok = false;
-  }
-
-  std::printf("\nfull round: sample + evaluate vs fused kernel\n");
-  std::printf("  %-6s %12s %12s %9s\n", "n", "split", "fused", "speedup");
-  for (const int n : {8, 32, 128}) {
-    const int rounds = evals_for(n) / 8;
-    // Identical seeds: the fused sampler replays the split sampler's
-    // sub-stream, so the masks must match round-for-round.
-    IidTimelinessSampler split(n, kP, 0xabcULL);
-    IidTimelinessSampler fused(n, kP, 0xabcULL);
-    LinkMatrix a(n);
-    PackedLinkMatrix q(n);
-    ColumnDeficits cols;
-    Round k_split = 0;
-    Round k_fused = 0;
-    for (int r = 0; r < 16; ++r) {  // warm-up + mask cross-check
-      split.sample_round(++k_split, a);
-      const std::uint8_t want = evaluate_all(a, 0);
-      const FusedRoundEval e =
-          fused.sample_round_and_evaluate(++k_fused, 0, q, cols);
-      if (e.mask != want) masks_ok = false;
-    }
-    const std::vector<double> best = interleaved_best_ms({
-        [&] {
-          for (int r = 0; r < rounds; ++r) {
-            split.sample_round(++k_split, a);
-            checksum += evaluate_all(a, 0);
-          }
-        },
-        [&] {
-          for (int r = 0; r < rounds; ++r) {
-            checksum +=
-                fused.sample_round_and_evaluate(++k_fused, 0, q, cols).mask;
-          }
-        },
-    });
-    const double split_ns = best[0] * 1e6 / rounds;
-    const double fused_ns = best[1] * 1e6 / rounds;
-    std::printf("  %-6d %9.1f ns %9.1f ns %8.2fx\n", n, split_ns, fused_ns,
-                split_ns / fused_ns);
   }
 
   std::printf("\nmask cross-check: %s   [checksum %lld]\n",

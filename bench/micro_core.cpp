@@ -13,6 +13,7 @@
 #include "models/schedule.hpp"
 #include "net/codec.hpp"
 #include "oracles/omega.hpp"
+#include "sim/packed_eval.hpp"
 #include "sim/sampler.hpp"
 
 using namespace timing;
@@ -33,20 +34,22 @@ BENCHMARK(BM_PredicateEvaluation)
     ->ArgsProduct({{8, 32, 128}, {0, 1, 2, 3}});
 
 void BM_PackedPredicateEvaluation(benchmark::State& state) {
-  // All four models in one sweep over the bit plane (vs one model per
-  // call in BM_PredicateEvaluation above).
+  // All four models in one kernel sweep over the bit plane and the
+  // all-sync planes (vs one model per call in BM_PredicateEvaluation
+  // above).
   const int n = static_cast<int>(state.range(0));
   IidTimelinessSampler s(n, 0.9, 1);
   PackedLinkMatrix a(n);
   s.sample_round(1, a);
+  const GranularPlanes& planes = all_sync_planes(n);
   ColumnDeficits cols;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(packed_evaluate_mask(a, 0, cols));
+    benchmark::DoNotOptimize(packed_evaluate_granular(a, 0, planes, cols));
   }
 }
 BENCHMARK(BM_PackedPredicateEvaluation)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_FusedSampleEvaluate(benchmark::State& state) {
+void BM_SampleAndEvaluate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   IidTimelinessSampler s(n, 0.95, 1);
   PackedLinkMatrix a(n);
@@ -57,7 +60,7 @@ void BM_FusedSampleEvaluate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_FusedSampleEvaluate)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_SampleAndEvaluate)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_IidSampleRound(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

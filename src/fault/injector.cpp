@@ -293,18 +293,4 @@ void FaultInjectedSampler::sample_round(Round k, PackedLinkMatrix& out) {
   if (injector_.active_in(k)) injector_.apply(k, out);
 }
 
-FusedRoundEval FaultInjectedSampler::sample_round_and_evaluate(
-    Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  // No-fault rounds stay on the inner fused kernel, byte for byte.
-  if (!injector_.active_in(k)) {
-    return inner_.sample_round_and_evaluate(k, leader, out, cols);
-  }
-  inner_.sample_round(k, out);
-  injector_.apply(k, out);
-  FusedRoundEval eval;
-  eval.mask = packed_evaluate_mask(out, leader, cols);
-  tally_fates(out, eval);
-  return eval;
-}
-
 }  // namespace timing::fault

@@ -379,9 +379,8 @@ GranularStreamedRun measure_run_streaming_granular(
                        rounds, n);
   PackedLinkMatrix a(n);
   for (int r = 1; r <= rounds; ++r) {
-    // Plain packed sample (per-cell RNG order equals the fused kernel's),
-    // then the one-sweep granular evaluation and a fate tally. With an
-    // all-sync matrix the sat mask equals the homogeneous fused mask.
+    // sample_round_and_evaluate's steps over g's planes instead of the
+    // all-sync ones; the kernel sweep also gives the class conformance.
     sampler.sample_round(r, a);
     FusedRoundEval fates;
     tally_fates(a, fates);
@@ -425,10 +424,8 @@ std::vector<GranularStreamedRun> measure_run_sweep(
 
   // The homogeneous sweep is the all-sync case of the granular one; it
   // reports no class conformance.
-  const GranularPlanes all_sync =
-      g == nullptr ? GranularPlanes(n, [](ProcessId, ProcessId) { return 0; })
-                   : GranularPlanes();
-  const GranularPlanes& classes = g == nullptr ? all_sync : g->planes();
+  const GranularPlanes& classes =
+      g == nullptr ? all_sync_planes(n) : g->planes();
   std::vector<double> latency;
   RankScratch scratch;
   RankTallies tallies;

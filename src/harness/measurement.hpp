@@ -151,11 +151,11 @@ class ConsecutiveWindowTracker {
 
 /// One streamed measurement run: per-model P_M incidence and the mean
 /// rounds-until-decision-conditions over `start_points` random start
-/// points, computed without per-round vectors via the fused
-/// sample-and-evaluate kernel. Statistically (and bit-for-bit) identical
+/// points, computed without per-round vectors via the sampler's
+/// sample_round_and_evaluate. Statistically (and bit-for-bit) identical
 /// to measure_run + incidence + decision_stats with the same sampler
-/// sub-stream and `start_rng`, but the hot loop is one pass per round
-/// over the packed bit plane. No tracing/metrics. The figure sweeps run
+/// sub-stream and `start_rng`, but the hot loop stays on the packed bit
+/// plane. No tracing/metrics. The figure sweeps run
 /// measure_run_sweep, which this single-timeout run is the reference for.
 struct StreamedRun {
   long long messages_total = 0;

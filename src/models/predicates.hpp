@@ -9,14 +9,14 @@
 //  * all processes are assumed correct unless a `correct` mask is given -
 //    the measurement sections run failure-free experiments, like the paper.
 //
-// Every predicate exists in two equivalent implementations:
-//  * the scalar path over LinkMatrix (the original per-cell loops) — kept
-//    as the oracle;
-//  * the packed path over PackedLinkMatrix (sim/packed_eval.hpp):
-//    popcounts and word compares over the uint64 bit plane.
-// tests/predicate_kernel_test.cpp asserts they agree bit-for-bit on
-// randomized matrices across the one-word/two-word row boundary and under
-// crash masks.
+// The scalar loops over LinkMatrix are the oracle, and the only code that
+// evaluates crash masks. The packed evaluate_all and
+// evaluate_all_granular run the one bit-plane kernel of
+// sim/packed_eval.hpp (popcounts and word compares over the uint64 rows),
+// the homogeneous models as its all-sync case.
+// tests/predicate_kernel_test.cpp and tests/granular_test.cpp assert the
+// two agree bit-for-bit on randomized matrices across the one-, two- and
+// three-word row boundaries.
 #pragma once
 
 #include <cstdint>
@@ -35,34 +35,24 @@ using CorrectMask = std::vector<bool>;
 
 /// ES: every link between correct processes is timely.
 bool satisfies_es(const LinkMatrix& a, const CorrectMask* correct = nullptr);
-bool satisfies_es(const PackedLinkMatrix& a,
-                  const CorrectMask* correct = nullptr);
 
 /// <>LM: the leader is an n-source this round (its column is all timely)
 /// and every correct process receives timely messages from at least
 /// floor(n/2)+1 correct processes (every row has a majority of ones).
 bool satisfies_lm(const LinkMatrix& a, ProcessId leader,
                   const CorrectMask* correct = nullptr);
-bool satisfies_lm(const PackedLinkMatrix& a, ProcessId leader,
-                  const CorrectMask* correct = nullptr);
 
 /// <>WLM: the leader is an n-source this round and receives timely
 /// messages from a majority (only the leader's row needs a majority).
 bool satisfies_wlm(const LinkMatrix& a, ProcessId leader,
                    const CorrectMask* correct = nullptr);
-bool satisfies_wlm(const PackedLinkMatrix& a, ProcessId leader,
-                   const CorrectMask* correct = nullptr);
 
 /// <>AFM (simplified): every correct process is a majority-destination and
 /// a majority-source this round.
 bool satisfies_afm(const LinkMatrix& a, const CorrectMask* correct = nullptr);
-bool satisfies_afm(const PackedLinkMatrix& a,
-                   const CorrectMask* correct = nullptr);
 
 /// Dispatch on the model. `leader` is ignored for ES and <>AFM.
 bool satisfies(TimingModel m, const LinkMatrix& a, ProcessId leader,
-               const CorrectMask* correct = nullptr);
-bool satisfies(TimingModel m, const PackedLinkMatrix& a, ProcessId leader,
                const CorrectMask* correct = nullptr);
 
 /// Evaluate all four predicates at once; bit static_cast<int>(m) of the
@@ -74,8 +64,9 @@ std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
                           const CorrectMask* correct = nullptr,
                           TraceSink* sink = nullptr, Round k = 0);
 
-/// Packed fast path: one sweep over the bit plane (popcounts + word
-/// compares; see sim/packed_eval.hpp). Identical mask and trace event.
+/// Packed path: one sweep of the kernel over the all-sync planes (see
+/// sim/packed_eval.hpp). Identical mask and trace event. A crash mask is
+/// evaluated by the scalar oracle on an unpacked copy.
 std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
                           const CorrectMask* correct = nullptr,
                           TraceSink* sink = nullptr, Round k = 0);
@@ -98,13 +89,10 @@ class GranularContext {
   int n() const noexcept { return matrix_.n(); }
   const LinkModelMatrix& matrix() const noexcept { return matrix_; }
   const GranularPlanes& planes() const noexcept { return planes_; }
-  /// All-sync matrices take the homogeneous fast path unchanged.
-  bool all_sync() const noexcept { return all_sync_; }
 
  private:
   LinkModelMatrix matrix_;
   GranularPlanes planes_;
-  bool all_sync_;
 };
 
 /// Result of one granular round evaluation. `sat` uses the canonical
@@ -116,13 +104,9 @@ struct GranularEval {
   std::uint8_t csat = 0;
 };
 
-/// Single granular predicate, scalar and packed. `leader` is ignored for
-/// ES and <>AFM.
+/// Single granular predicate. `leader` is ignored for ES and <>AFM.
 bool satisfies_granular(TimingModel m, const LinkMatrix& a, ProcessId leader,
                         const GranularContext& g,
-                        const CorrectMask* correct = nullptr);
-bool satisfies_granular(TimingModel m, const PackedLinkMatrix& a,
-                        ProcessId leader, const GranularContext& g,
                         const CorrectMask* correct = nullptr);
 
 /// Evaluate all four granular predicates plus per-class conformance.
@@ -133,10 +117,10 @@ GranularEval evaluate_all_granular(const LinkMatrix& a, ProcessId leader,
                                    const CorrectMask* correct = nullptr,
                                    TraceSink* sink = nullptr, Round k = 0);
 
-/// Packed fast path: one sweep (sim/packed_eval.hpp). Identical result.
+/// Packed path: one sweep of the kernel (sim/packed_eval.hpp), every
+/// process correct. Identical result and trace event.
 GranularEval evaluate_all_granular(const PackedLinkMatrix& a,
                                    ProcessId leader, const GranularContext& g,
-                                   const CorrectMask* correct = nullptr,
                                    TraceSink* sink = nullptr, Round k = 0);
 
 }  // namespace timing

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -167,6 +168,29 @@ std::optional<long long> find_int(const std::string& line,
 long long require_int(const std::string& line, const std::string& key,
                       std::size_t line_no) {
   const auto v = find_int(line, key, line_no);
+  if (!v) fail(line_no, "missing field '" + key + "'");
+  return *v;
+}
+
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+/// find_int, rejecting a value outside [lo, hi] (the range of the event
+/// field it is stored in, so the narrowing cannot wrap).
+std::optional<int> find_int_in(const std::string& line, const std::string& key,
+                               int lo, int hi, std::size_t line_no) {
+  const auto v = find_int(line, key, line_no);
+  if (!v) return std::nullopt;
+  if (*v < lo || *v > hi) {
+    fail(line_no, "'" + key + "' " + std::to_string(*v) + " out of range [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<int>(*v);
+}
+
+int require_int_in(const std::string& line, const std::string& key, int lo,
+                   int hi, std::size_t line_no) {
+  const auto v = find_int_in(line, key, lo, hi, line_no);
   if (!v) fail(line_no, "missing field '" + key + "'");
   return *v;
 }
@@ -350,7 +374,7 @@ ParsedTrace parse_trace(std::istream& in) {
     if (!name) fail(line_no, "missing event name");
     if (*name == "trial") {
       TrialTrace t;
-      t.id = static_cast<int>(require_int(line, "id", line_no));
+      t.id = require_int_in(line, "id", kIntMin, kIntMax, line_no);
       if (const auto tn = find_int(line, "n", line_no)) {
         if (*tn < 2 || *tn > trace.n) {
           fail(line_no, "per-trial n out of range");
@@ -369,8 +393,7 @@ ParsedTrace parse_trace(std::istream& in) {
 
     TraceEvent e;
     e.kind = *kind;
-    e.round = static_cast<Round>(require_int(line, "k", line_no));
-    if (e.round < 0) fail(line_no, "negative round");
+    e.round = require_int_in(line, "k", 0, kIntMax, line_no);
     switch (*kind) {
       case EventKind::kRoundStart:
       case EventKind::kRoundEnd:
@@ -388,8 +411,7 @@ ParsedTrace parse_trace(std::istream& in) {
                           line_no);
         e.dst = check_pid(require_int(line, "d", line_no), cur_n, "dst",
                           line_no);
-        e.delay = static_cast<int>(require_int(line, "delay", line_no));
-        if (e.delay < 1) fail(line_no, "late delay must be >= 1");
+        e.delay = require_int_in(line, "delay", 1, kIntMax, line_no);
         break;
       case EventKind::kOracleOutput:
         e.proc = check_pid(require_int(line, "p", line_no), cur_n, "proc",
@@ -437,17 +459,14 @@ ParsedTrace parse_trace(std::istream& in) {
         if (const auto d = find_int(line, "d", line_no)) {
           e.dst = check_pid(*d, cur_n, "dst", line_no);
         }
-        if (const auto dl = find_int(line, "delay", line_no)) {
-          if (*dl < 1) fail(line_no, "fault delay must be >= 1");
-          e.delay = static_cast<int>(*dl);
+        if (const auto dl = find_int_in(line, "delay", 1, kIntMax, line_no)) {
+          e.delay = *dl;
         }
         break;
       }
       case EventKind::kClientOp: {
         // Clients live in their own id space (>= 0, not bounded by n).
-        const long long client = require_int(line, "p", line_no);
-        if (client < 0) fail(line_no, "negative client id");
-        e.proc = static_cast<ProcessId>(client);
+        e.proc = require_int_in(line, "p", 0, kIntMax, line_no);
         const auto ph = find_str(line, "ph");
         if (!ph || !op_phase_from_string(ph->c_str(), e.op_phase)) {
           fail(line_no, "bad or missing op phase 'ph'");
@@ -456,9 +475,7 @@ ParsedTrace parse_trace(std::istream& in) {
         if (!f || !op_func_from_string(f->c_str(), e.op_func)) {
           fail(line_no, "bad or missing op function 'f'");
         }
-        const long long key = require_int(line, "key", line_no);
-        if (key < 0) fail(line_no, "negative op key");
-        e.op_key = static_cast<std::int32_t>(key);
+        e.op_key = require_int_in(line, "key", 0, kIntMax, line_no);
         e.op_id = require_int(line, "id", line_no);
         if (e.op_id < 0) fail(line_no, "negative op id");
         if (const auto a = find_int(line, "a", line_no)) e.arg = *a;

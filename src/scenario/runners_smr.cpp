@@ -68,11 +68,6 @@ class LoadSlotSampler final : public TimelinessSampler {
   void sample_round(Round k, PackedLinkMatrix& out) override {
     active().sample_round(k, out);
   }
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override {
-    return active().sample_round_and_evaluate(k, leader, out, cols);
-  }
 
  private:
   TimelinessSampler& active() {

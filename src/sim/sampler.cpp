@@ -10,59 +10,6 @@ namespace timing {
 
 namespace {
 
-/// Streaming accumulator for the four failure-free predicates, fed cell
-/// by cell as a fused kernel samples a round. Mirrors packed_evaluate_mask
-/// exactly (differential-tested against the scalar predicates).
-struct MaskAccum {
-  int n = 0;
-  int maj = 0;
-  ProcessId leader = 0;
-  ColumnDeficits* cols = nullptr;
-  bool es = true;
-  bool rows_ok = true;
-  bool leader_col = true;
-  int leader_row_cnt = 0;
-  int cnt = 0;            // timely cells of the current row
-  bool leader_bit = false;
-
-  void begin(int n_in, ProcessId leader_in, ColumnDeficits& cols_in) {
-    n = n_in;
-    maj = majority_size(n_in);
-    leader = leader_in;
-    cols = &cols_in;
-    cols->reset(n_in);
-    es = rows_ok = leader_col = true;
-    leader_row_cnt = 0;
-  }
-  void begin_row() {
-    cnt = 0;
-    leader_bit = false;
-  }
-  void cell_timely(ProcessId src) {
-    ++cnt;
-    if (src == leader) leader_bit = true;
-  }
-  void cell_untimely(ProcessId src) { cols->bump(src); }
-  void end_row(ProcessId dst) {
-    es &= cnt == n;
-    rows_ok &= cnt >= maj;
-    leader_col &= leader_bit;
-    if (dst == leader) leader_row_cnt = cnt;
-  }
-  std::uint8_t finish() const {
-    bool cols_ok = true;
-    for (ProcessId src = 0; src < n; ++src) {
-      cols_ok &= n - cols->at(src) >= maj;
-    }
-    std::uint8_t mask = 0;
-    if (es) mask |= kPackedEsBit;
-    if (leader_col && rows_ok) mask |= kPackedLmBit;
-    if (leader_col && leader_row_cnt >= maj) mask |= kPackedWlmBit;
-    if (rows_ok && cols_ok) mask |= kPackedAfmBit;
-    return mask;
-  }
-};
-
 /// Fate of one message with latency `ms` in rounds of `timeout_ms`.
 Delay classify_latency(double ms, double timeout_ms,
                        int max_delay_rounds) noexcept {
@@ -274,7 +221,9 @@ FusedRoundEval TimelinessSampler::sample_round_and_evaluate(
     Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
   sample_round(k, out);
   FusedRoundEval eval;
-  eval.mask = packed_evaluate_mask(out, leader, cols);
+  eval.mask =
+      packed_evaluate_granular(out, leader, all_sync_planes(out.n()), cols)
+          .sat;
   tally_fates(out, eval);
   return eval;
 }
@@ -321,33 +270,26 @@ void draw_latency_round(LatencyModel& model, Round k,
 
 FusedRoundEval classify_round(std::span<const double> latency,
                               double timeout_ms, int max_delay_rounds,
-                              ProcessId leader, PackedLinkMatrix& out,
-                              ColumnDeficits& cols) {
+                              PackedLinkMatrix& out) {
   const int n = out.n();
   TM_CHECK(latency.size() == static_cast<std::size_t>(n) * n,
            "latency plane size must match the matrix");
   FusedRoundEval eval;
-  MaskAccum acc;
-  acc.begin(n, leader, cols);
   const double* cell = latency.data();
   for (ProcessId dst = 0; dst < n; ++dst) {
     std::uint64_t* row = out.mutable_row_words(dst);
     for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    acc.begin_row();
     for (ProcessId src = 0; src < n; ++src, ++cell) {
       if (src == dst) {
         out.set_timely(dst, src);
-        acc.cell_timely(src);
         continue;
       }
       const Delay d = classify_latency(*cell, timeout_ms, max_delay_rounds);
       if (d == 0) {
         out.set_timely(dst, src);
-        acc.cell_timely(src);
         ++eval.timely;
       } else {
         out.store_untimely(dst, src, d);
-        acc.cell_untimely(src);
         if (d == kLost) {
           ++eval.lost;
         } else {
@@ -355,9 +297,7 @@ FusedRoundEval classify_round(std::span<const double> latency,
         }
       }
     }
-    acc.end_row(dst);
   }
-  eval.mask = acc.finish();
   return eval;
 }
 
@@ -401,16 +341,7 @@ void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
 
 void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
   draw(k);
-  // The fates are all the caller wants; the predicate mask is dropped.
-  classify_round(latency_, timeout_ms_, max_delay_rounds_, /*leader=*/0, out,
-                 cols_);
-}
-
-FusedRoundEval LatencyTimelinessSampler::sample_round_and_evaluate(
-    Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  draw(k);
-  return classify_round(latency_, timeout_ms_, max_delay_rounds_, leader, out,
-                        cols);
+  classify_round(latency_, timeout_ms_, max_delay_rounds_, out);
 }
 
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
@@ -452,40 +383,6 @@ void IidTimelinessSampler::sample_round(Round, PackedLinkMatrix& out) {
       }
     }
   }
-}
-
-FusedRoundEval IidTimelinessSampler::sample_round_and_evaluate(
-    Round, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
-  FusedRoundEval eval;
-  MaskAccum acc;
-  acc.begin(n_, leader, cols);
-  for (ProcessId dst = 0; dst < n_; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    acc.begin_row();
-    for (ProcessId src = 0; src < n_; ++src) {
-      if (src == dst) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-      } else if (rng_.bernoulli(p_)) {
-        out.set_timely(dst, src);
-        acc.cell_timely(src);
-        ++eval.timely;
-      } else {
-        const Delay d = untimely_fate();
-        out.store_untimely(dst, src, d);
-        acc.cell_untimely(src);
-        if (d == kLost) {
-          ++eval.lost;
-        } else {
-          ++eval.late;
-        }
-      }
-    }
-    acc.end_row(dst);
-  }
-  eval.mask = acc.finish();
-  return eval;
 }
 
 }  // namespace timing

@@ -10,23 +10,22 @@
 //    definitions to construct conforming/adversarial rounds).
 //
 // Every sampler also fills the packed bit-plane representation
-// (PackedLinkMatrix); the two concrete samplers here additionally provide
-// the fused sample-and-evaluate kernel: one pass that draws the round's
-// fates AND computes the four-model predicate bitmask, without touching
-// the int16 delay plane unless a late/lost fate is actually drawn. The
-// fused path consumes the RNG in exactly the per-cell order of the scalar
-// sample_round, so for the same sub-stream it reproduces the exact same
-// matrices (asserted by tests/predicate_kernel_test.cpp).
+// (PackedLinkMatrix), without touching the int16 delay plane unless a
+// late/lost fate is actually drawn. The packed path consumes the RNG in
+// exactly the per-cell order of the scalar sample_round, so for the same
+// sub-stream it reproduces the exact same matrices (asserted by
+// tests/predicate_kernel_test.cpp). sample_round_and_evaluate is that
+// packed sample followed by the predicate kernel of sim/packed_eval.hpp.
 //
 // The latency sampler is two steps: draw_latency_round fills a round's
-// latency plane, then classify_round turns it into fates and the
-// predicate mask for one timeout. A timeout sweep draws each round once
-// and ranks it instead (rank_round): every link gets the first sorted
-// timeout at which it is timely, and every model the first at which it
-// holds. A longer timeout only adds timely links, and every predicate
-// only gains from a timely link, so one pass answers every timeout of the
-// sweep (harness/measurement.hpp's measure_run_sweep). Both steps decide
-// the lost edge with the same expression (lost_in_flight).
+// latency plane, then classify_round turns it into fates for one timeout.
+// A timeout sweep draws each round once and ranks it instead
+// (rank_round): every link gets the first sorted timeout at which it is
+// timely, and every model the first at which it holds. A longer timeout
+// only adds timely links, and every predicate only gains from a timely
+// link, so one pass answers every timeout of the sweep
+// (harness/measurement.hpp's measure_run_sweep). Both steps decide the
+// lost edge with the same expression (lost_in_flight).
 #pragma once
 
 #include <array>
@@ -42,8 +41,8 @@
 
 namespace timing {
 
-/// Result of one fused sample-and-evaluate round: the packed predicate
-/// bitmask (kPackedEsBit.. order, equal to models/evaluate_all) plus the
+/// Result of one sample-and-evaluate round: the packed predicate bitmask
+/// (kPackedEsBit.. order, equal to models/evaluate_all) plus the
 /// off-diagonal message-fate tallies of the round.
 struct FusedRoundEval {
   std::uint8_t mask = 0;
@@ -65,12 +64,10 @@ class TimelinessSampler {
   /// concrete samplers below fill the bit plane directly.
   virtual void sample_round(Round k, PackedLinkMatrix& out);
 
-  /// Fused kernel: one pass that samples round k into `out` AND evaluates
-  /// the four failure-free model predicates for `leader`, tallying the
-  /// message fates. Default = packed sample_round + packed_evaluate_mask
-  /// + a complement scan for the tallies; IID and latency samplers fuse
-  /// the evaluation into the sampling loop itself. `cols` is reusable
-  /// scratch (see ColumnDeficits).
+  /// Samples round k into `out` (packed sample_round), evaluates the four
+  /// failure-free model predicates for `leader` with the kernel over the
+  /// all-sync planes, and tallies the message fates (tally_fates). `cols`
+  /// is reusable scratch (see ColumnDeficits).
   virtual FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
                                                    PackedLinkMatrix& out,
                                                    ColumnDeficits& cols);
@@ -108,15 +105,13 @@ void draw_latency_round(LatencyModel& model, Round k,
 /// Classifies one drawn round against `timeout_ms`: a latency within the
 /// timeout is timely, +inf or more than `max_delay_rounds` rounds late is
 /// lost, anything else is floor(latency / timeout) rounds late. Fills
-/// `out` (n x n, n = out.n(); `latency` holds n * n entries), tallies the
-/// off-diagonal fates and evaluates the four failure-free predicates for
-/// `leader`, exactly like a fused sample_round_and_evaluate. Reads nothing
-/// but its arguments, so one latency plane can be classified against any
-/// number of timeouts.
+/// `out` (n x n, n = out.n(); `latency` holds n * n entries) and returns
+/// the off-diagonal fate tallies (mask 0). Reads nothing but its
+/// arguments, so one latency plane can be classified against any number
+/// of timeouts.
 FusedRoundEval classify_round(std::span<const double> latency,
                               double timeout_ms, int max_delay_rounds,
-                              ProcessId leader, PackedLinkMatrix& out,
-                              ColumnDeficits& cols);
+                              PackedLinkMatrix& out);
 
 /// One round ranked against m sorted distinct timeouts t_0 < ... <
 /// t_{m-1}. Each entry is a threshold: the first sorted index at which the
@@ -127,8 +122,7 @@ struct RoundRanks {
   /// Per link class (GranularPlanes indices).
   std::array<int, GranularPlanes::kNumClasses> cls{};
 
-  /// The predicate mask classify_round / packed_evaluate_granular give at
-  /// sorted timeout i.
+  /// The predicate mask packed_evaluate_granular gives at sorted timeout i.
   std::uint8_t sat_at(int i) const noexcept {
     std::uint8_t mask = 0;
     for (std::size_t b = 0; b < model.size(); ++b) {
@@ -197,9 +191,6 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
   int n() const noexcept override { return model_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override;
 
   void set_latency_sink(LatencySink sink) { sink_ = std::move(sink); }
   double timeout_ms() const noexcept { return timeout_ms_; }
@@ -213,7 +204,6 @@ class LatencyTimelinessSampler final : public TimelinessSampler {
   int max_delay_rounds_;
   LatencySink sink_;
   std::vector<double> latency_;  ///< the current round's latency plane
-  ColumnDeficits cols_;          ///< reused by the packed sample_round
 };
 
 /// Direct Bernoulli sampler: entry timely with probability p, otherwise
@@ -227,13 +217,10 @@ class IidTimelinessSampler final : public TimelinessSampler {
   int n() const noexcept override { return n_; }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
-  FusedRoundEval sample_round_and_evaluate(Round k, ProcessId leader,
-                                           PackedLinkMatrix& out,
-                                           ColumnDeficits& cols) override;
 
  private:
-  /// Late-or-lost fate draw shared by all three entry points (keeps the
-  /// RNG consumption identical across them).
+  /// Late-or-lost fate draw shared by both entry points (keeps the RNG
+  /// consumption identical across them).
   Delay untimely_fate();
 
   int n_;

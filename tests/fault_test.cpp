@@ -302,7 +302,7 @@ std::string run_serialized(int n, bool decorated, std::uint64_t seed,
   Round decided = -1;
   if (decorated) {
     // The plan's only window sits far past every executed round, so the
-    // decorator must stay on the inner fused path throughout.
+    // decorator must pass every round through untouched.
     const ParseResult pr = parse_fault_plan("drop 0->1 @90..91 p=1; gsr @91");
     TM_CHECK(pr.ok(), "inactive plan must parse");
     InjectorConfig cfg;

@@ -250,7 +250,7 @@ TEST(Streaming, WindowTrackerMatchesDecisionStatsBitForBit) {
 
 TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
   // One (timeout, run) trial both ways: classic measure_run + incidence +
-  // decision_stats vs the fused streaming path, same sampler sub-stream,
+  // decision_stats vs the streaming path, same sampler sub-stream,
   // same start_rng. Everything must agree bit-for-bit — this is the
   // invariant that lets run_experiment use the fast path while keeping
   // the figure outputs byte-identical.
@@ -387,7 +387,7 @@ TEST(RunSweep, MatchesStreamingPerTimeoutOnLan) {
 
 TEST(RunSweep, MatchesGranularStreamingPerTimeout) {
   const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 77)};
-  ASSERT_FALSE(g.all_sync());
+  ASSERT_FALSE(g.matrix().all_sync());
   check_sweep_matches_streaming(Testbed::kWan, kWanTimeouts, &g);
   check_sweep_matches_streaming(Testbed::kLan, kLanTimeouts, &g);
 }
@@ -465,9 +465,9 @@ std::vector<double> edge_latency_plane(int n,
 
 /// Ranks seeded edge planes against `timeouts` (any order, duplicates
 /// allowed) and checks the verdict at every timeout, round by round,
-/// against classify_round and the packed predicates at that timeout: sat
+/// against classify_round and the packed kernel at that timeout: sat
 /// bits, csat bits and the timely/late/lost tallies. Null `g` is the
-/// homogeneous (all-sync) sweep.
+/// homogeneous (all-sync) sweep, also held to the scalar oracle.
 void check_rank_round_matches_classify(int n,
                                        const std::vector<double>& timeouts,
                                        const GranularContext* g, int rounds,
@@ -480,7 +480,7 @@ void check_rank_round_matches_classify(int n,
   RankScratch scratch;
   RankTallies tallies;
   PackedLinkMatrix q(n);
-  ColumnDeficits cols;
+  LinkMatrix unpacked;
   for (int r = 0; r < rounds; ++r) {
     const auto leader =
         static_cast<ProcessId>(rng.uniform_int(static_cast<std::uint64_t>(n)));
@@ -499,8 +499,8 @@ void check_rank_round_matches_classify(int n,
                                       << " timeout=" << t);
       const int i = static_cast<int>(
           std::lower_bound(sorted.begin(), sorted.end(), t) - sorted.begin());
-      const FusedRoundEval want = classify_round(
-          latency, t, kDefaultMaxDelayRounds, leader, q, cols);
+      const FusedRoundEval want =
+          classify_round(latency, t, kDefaultMaxDelayRounds, q);
       const auto at = static_cast<std::size_t>(i);
       EXPECT_EQ(fates[at].timely, want.timely);
       EXPECT_EQ(fates[at].late, want.late);
@@ -508,7 +508,8 @@ void check_rank_round_matches_classify(int n,
       const GranularEval ge =
           evaluate_all_granular(q, leader, g == nullptr ? all_sync : *g);
       if (g == nullptr) {
-        EXPECT_EQ(ranks.sat_at(i), want.mask);
+        q.copy_to(unpacked);
+        EXPECT_EQ(ranks.sat_at(i), evaluate_all(unpacked, leader));
         EXPECT_EQ(ranks.sat_at(i), evaluate_all(q, leader));
       }
       EXPECT_EQ(ranks.sat_at(i), ge.sat);

@@ -956,7 +956,7 @@ TEST(Jsonl, RejectsMalformedGeneralLines) {
                 .find("bad integer for 'id'"),
             std::string::npos);
   EXPECT_NE(parse_error(header + trial + "{\"e\":\"round_start\",\"k\":-1}\n")
-                .find("negative round"),
+                .find("'k' -1 out of range"),
             std::string::npos);
   EXPECT_NE(parse_error(header + trial + "{\"k\":1}\n")
                 .find("missing event name"),
@@ -976,12 +976,12 @@ TEST(Jsonl, RejectsMalformedGeneralLines) {
   EXPECT_NE(parse_error(header + trial +
                         "{\"e\":\"op\",\"k\":1,\"p\":-1,\"ph\":\"ok\"" +
                         op_tail)
-                .find("negative client id"),
+                .find("'p' -1 out of range"),
             std::string::npos);
   EXPECT_NE(parse_error(header + trial +
                         "{\"e\":\"op\",\"k\":1,\"p\":0,\"ph\":\"ok\","
                         "\"f\":\"read\",\"key\":-2,\"id\":0}\n")
-                .find("negative op key"),
+                .find("'key' -2 out of range"),
             std::string::npos);
   EXPECT_NE(parse_error(header + trial +
                         "{\"e\":\"op\",\"k\":1,\"p\":0,\"ph\":\"ok\","
@@ -991,6 +991,45 @@ TEST(Jsonl, RejectsMalformedGeneralLines) {
   // Blank and comment lines are skipped, not errors.
   EXPECT_EQ(parse_error(header + "\n# a comment\n" + trial +
                         "{\"e\":\"round_start\",\"k\":1}\n"),
+            "");
+}
+
+TEST(Jsonl, RejectsIntegersOutsideTheirField) {
+  // Trial id, round, delays, client id and op key are 32-bit event
+  // fields: a wider value is an error on its line, never wrapped (2^32 + 1
+  // used to read back as 1).
+  const std::string header = "{\"schema\":\"timing-trace\",\"v\":1,\"n\":3}\n";
+  const std::string trial = "{\"e\":\"trial\",\"id\":0}\n";
+  const auto bad = [&](const std::string& lines, const char* why) {
+    const std::string err = parse_error(header + lines);
+    EXPECT_NE(err.find(why), std::string::npos) << lines << "\n  got: " << err;
+  };
+  bad("{\"e\":\"trial\",\"id\":4294967296}\n",
+      "trace line 2: 'id' 4294967296 out of range");
+  bad(trial +
+          "{\"e\":\"late\",\"k\":4294967297,\"s\":0,\"d\":1,"
+          "\"delay\":4294967298}\n",
+      "trace line 3: 'k' 4294967297 out of range");
+  bad(trial +
+          "{\"e\":\"late\",\"k\":1,\"s\":0,\"d\":1,"
+          "\"delay\":4294967298}\n",
+      "trace line 3: 'delay' 4294967298 out of range");
+  bad(trial + "{\"e\":\"late\",\"k\":1,\"s\":0,\"d\":1,\"delay\":0}\n",
+      "trace line 3: 'delay' 0 out of range");
+  bad(trial + "{\"e\":\"fault\",\"k\":1,\"fk\":3,\"delay\":4294967297}\n",
+      "trace line 3: 'delay' 4294967297 out of range");
+  bad(trial +
+          "{\"e\":\"op\",\"k\":1,\"p\":4294967296,\"ph\":\"ok\","
+          "\"f\":\"read\",\"key\":0,\"id\":0}\n",
+      "trace line 3: 'p' 4294967296 out of range");
+  bad(trial +
+          "{\"e\":\"op\",\"k\":1,\"p\":0,\"ph\":\"ok\","
+          "\"f\":\"read\",\"key\":2147483648,\"id\":0}\n",
+      "trace line 3: 'key' 2147483648 out of range");
+  // The field's own extremes still parse.
+  EXPECT_EQ(parse_error(header + "{\"e\":\"trial\",\"id\":-2147483648}\n" +
+                        "{\"e\":\"late\",\"k\":2147483647,\"s\":0,"
+                        "\"d\":1,\"delay\":2147483647}\n"),
             "");
 }
 
