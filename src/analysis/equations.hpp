@@ -48,7 +48,8 @@ double expected_rounds(double p_round, int rounds_needed) noexcept;
 /// conforming IID rounds have occurred (the classical run-of-successes
 /// renewal formula): E = (1 - P^R) / ((1 - P) P^R). Always at least the
 /// paper's approximation; they agree as P -> 1. Our own refinement - see
-/// bench/ablation_window_formula for how much the paper's curves shift.
+/// `timing_lab run ablation/window_formula` for how much the paper's
+/// curves shift.
 double exact_expected_rounds(double p_round, int rounds_needed) noexcept;
 
 /// exact_expected_rounds applied to a model's closed-form P_M.

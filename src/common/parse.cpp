@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 namespace timing {
 
@@ -78,6 +79,75 @@ bool parse_int_list(const std::string& s, std::vector<int>& out) {
 
 bool parse_double_list(const std::string& s, std::vector<double>& out) {
   return parse_list<double, parse_double>(s, out);
+}
+
+void JsonlLine::fail(const std::string& why) const {
+  throw std::runtime_error(std::string(source_) + " line " +
+                           std::to_string(line_no_) + ": " + why);
+}
+
+std::optional<long long> JsonlLine::find_int(const std::string& key) const {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = line_.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  const char* start = line_.c_str() + pos + needle.size();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(start, &end, 10);
+  if (end == start || errno != 0) fail("bad integer for '" + key + "'");
+  return v;
+}
+
+long long JsonlLine::require_int(const std::string& key) const {
+  const auto v = find_int(key);
+  if (!v) fail("missing field '" + key + "'");
+  return *v;
+}
+
+std::optional<std::string> JsonlLine::find_str(const std::string& key) const {
+  const std::string needle = "\"" + key + "\":\"";
+  const auto pos = line_.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  std::size_t at = pos + needle.size() - 1;  // the opening quote
+  return read_string(at);
+}
+
+std::string JsonlLine::read_string(std::size_t& pos) const {
+  if (pos >= line_.size() || line_[pos] != '"') fail("expected '\"'");
+  std::string out;
+  for (std::size_t i = pos + 1; i < line_.size(); ++i) {
+    const char c = line_[i];
+    if (c == '"') {
+      pos = i + 1;
+      return out;
+    }
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i >= line_.size()) break;
+    switch (line_[i]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'u': {
+        if (i + 4 >= line_.size()) fail("truncated \\u escape");
+        const std::string hex = line_.substr(i + 1, 4);
+        char* end = nullptr;
+        const long cp = std::strtol(hex.c_str(), &end, 16);
+        if (end != hex.c_str() + 4 || cp < 0 || cp > 0x7f) {
+          fail("unsupported \\u escape");
+        }
+        out += static_cast<char>(cp);
+        i += 4;
+        break;
+      }
+      default: fail("unknown escape");
+    }
+  }
+  fail("unterminated string");
 }
 
 }  // namespace timing

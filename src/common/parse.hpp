@@ -2,10 +2,13 @@
 // scenario override grammar, timing_lab, trace_tool) and the TIMING_*
 // environment knobs. All parsers consume the ENTIRE string: trailing
 // garbage ("12x", "1.5.2") is a parse failure, not a silent truncation
-// the way std::atoi / bare strtol would treat it.
+// the way std::atoi / bare strtol would treat it. It also holds the field
+// scanner that both JSONL readers (traces, results) share.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,5 +27,35 @@ bool parse_double(const std::string& s, double& out);
 /// non-empty ("140,200" -> {140, 200}).
 bool parse_int_list(const std::string& s, std::vector<int>& out);
 bool parse_double_list(const std::string& s, std::vector<double>& out);
+
+/// Field scanner over one line of a flat JSONL record
+/// (`{"e":"row","id":0}`): a field is found by its `"key":` needle.
+/// Every error throws std::runtime_error("<source> line <N>: <why>"),
+/// the reader's own prefix ("trace", "results"). Holds a reference: the
+/// line must outlive the scanner.
+class JsonlLine {
+ public:
+  JsonlLine(const std::string& line, const char* source, std::size_t line_no)
+      : line_(line), source_(source), line_no_(line_no) {}
+
+  const std::string& text() const { return line_; }
+
+  [[noreturn]] void fail(const std::string& why) const;
+
+  /// `"key":<integer>`; nullopt when absent.
+  std::optional<long long> find_int(const std::string& key) const;
+  /// find_int, failing with "missing field 'key'" when absent.
+  long long require_int(const std::string& key) const;
+  /// `"key":"<string>"` with its escapes decoded; nullopt when absent.
+  std::optional<std::string> find_str(const std::string& key) const;
+  /// The string whose opening quote is text()[pos], escapes decoded;
+  /// advances pos past its closing quote.
+  std::string read_string(std::size_t& pos) const;
+
+ private:
+  const std::string& line_;
+  const char* source_;
+  std::size_t line_no_;
+};
 
 }  // namespace timing

@@ -1,4 +1,4 @@
-// Minimal fixed-width table printer. Every bench binary prints the rows /
+// Minimal fixed-width table printer. Every scenario prints the rows /
 // series of one of the paper's subfigures through this, so the output is
 // uniform and easy to diff against EXPERIMENTS.md.
 #pragma once

@@ -7,8 +7,8 @@
 // in <>WLM: the leader discovers higher promised ballots one at a time
 // (each mobile majority can reveal just one new NACK) and restarts its
 // ballot each time. Algorithm 2 avoids the chase by using round numbers
-// as timestamps and the majApproved certificate. bench/ablation_paxos_
-// recovery measures exactly this contrast.
+// as timestamps and the majApproved certificate. `timing_lab run
+// ablation/paxos_recovery` measures exactly this contrast.
 //
 // Mapping to rounds (lock-step): each protocol phase costs two rounds -
 // one for the leader's message to circulate, one for the acceptors'

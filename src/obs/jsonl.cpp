@@ -1,7 +1,5 @@
 #include "obs/jsonl.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -10,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "common/parse.hpp"
 
 namespace timing {
 
@@ -145,66 +145,27 @@ void append_str_field(std::string& s, const char* key, const char* v) {
   s += "\"";
 }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& why) {
-  throw std::runtime_error("trace line " + std::to_string(line_no) + ": " +
-                           why);
-}
-
-/// Extract an integer field `"key":<int>` from a flat one-line JSON
-/// object. Returns nullopt when absent.
-std::optional<long long> find_int(const std::string& line,
-                                  const std::string& key, std::size_t line_no) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start || errno != 0) fail(line_no, "bad integer for '" + key + "'");
-  return v;
-}
-
-long long require_int(const std::string& line, const std::string& key,
-                      std::size_t line_no) {
-  const auto v = find_int(line, key, line_no);
-  if (!v) fail(line_no, "missing field '" + key + "'");
-  return *v;
-}
-
 constexpr int kIntMin = std::numeric_limits<int>::min();
 constexpr int kIntMax = std::numeric_limits<int>::max();
 
 /// find_int, rejecting a value outside [lo, hi] (the range of the event
 /// field it is stored in, so the narrowing cannot wrap).
-std::optional<int> find_int_in(const std::string& line, const std::string& key,
-                               int lo, int hi, std::size_t line_no) {
-  const auto v = find_int(line, key, line_no);
+std::optional<int> find_int_in(const JsonlLine& f, const std::string& key,
+                               int lo, int hi) {
+  const auto v = f.find_int(key);
   if (!v) return std::nullopt;
   if (*v < lo || *v > hi) {
-    fail(line_no, "'" + key + "' " + std::to_string(*v) + " out of range [" +
-                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    f.fail("'" + key + "' " + std::to_string(*v) + " out of range [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
   return static_cast<int>(*v);
 }
 
-int require_int_in(const std::string& line, const std::string& key, int lo,
-                   int hi, std::size_t line_no) {
-  const auto v = find_int_in(line, key, lo, hi, line_no);
-  if (!v) fail(line_no, "missing field '" + key + "'");
+int require_int_in(const JsonlLine& f, const std::string& key, int lo,
+                   int hi) {
+  const auto v = find_int_in(f, key, lo, hi);
+  if (!v) f.fail("missing field '" + key + "'");
   return *v;
-}
-
-/// Extract a string field `"key":"<value>"`.
-std::optional<std::string> find_str(const std::string& line,
-                                    const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const auto start = pos + needle.size();
-  const auto close = line.find('"', start);
-  if (close == std::string::npos) return std::nullopt;
-  return line.substr(start, close - start);
 }
 
 std::optional<EventKind> kind_from_string(const std::string& s) {
@@ -215,9 +176,9 @@ std::optional<EventKind> kind_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-ProcessId check_pid(long long v, int n, const char* what,
-                    std::size_t line_no) {
-  if (v < 0 || v >= n) fail(line_no, std::string(what) + " out of range");
+ProcessId check_pid(const JsonlLine& f, long long v, int n,
+                    const char* what) {
+  if (v < 0 || v >= n) f.fail(std::string(what) + " out of range");
   return static_cast<ProcessId>(v);
 }
 
@@ -350,34 +311,33 @@ ParsedTrace parse_trace(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    if (line.front() != '{' || line.back() != '}') {
-      fail(line_no, "not a JSON object");
-    }
+    const JsonlLine f(line, "trace", line_no);
+    if (line.front() != '{' || line.back() != '}') f.fail("not a JSON object");
 
-    if (const auto schema = find_str(line, "schema")) {
-      if (*schema != "timing-trace") fail(line_no, "unknown schema");
-      if (have_header) fail(line_no, "duplicate header");
-      const long long v = require_int(line, "v", line_no);
+    if (const auto schema = f.find_str("schema")) {
+      if (*schema != "timing-trace") f.fail("unknown schema");
+      if (have_header) f.fail("duplicate header");
+      const long long v = f.require_int("v");
       if (v != kTraceSchemaVersion) {
-        fail(line_no, "unsupported schema version " + std::to_string(v));
+        f.fail("unsupported schema version " + std::to_string(v));
       }
-      const long long n = require_int(line, "n", line_no);
-      if (n < 2 || n > 100000) fail(line_no, "implausible n");
+      const long long n = f.require_int("n");
+      if (n < 2 || n > 100000) f.fail("implausible n");
       trace.version = static_cast<int>(v);
       trace.n = static_cast<int>(n);
       have_header = true;
       continue;
     }
-    if (!have_header) fail(line_no, "event before header");
+    if (!have_header) f.fail("event before header");
 
-    const auto name = find_str(line, "e");
-    if (!name) fail(line_no, "missing event name");
+    const auto name = f.find_str("e");
+    if (!name) f.fail("missing event name");
     if (*name == "trial") {
       TrialTrace t;
-      t.id = require_int_in(line, "id", kIntMin, kIntMax, line_no);
-      if (const auto tn = find_int(line, "n", line_no)) {
+      t.id = require_int_in(f, "id", kIntMin, kIntMax);
+      if (const auto tn = f.find_int("n")) {
         if (*tn < 2 || *tn > trace.n) {
-          fail(line_no, "per-trial n out of range");
+          f.fail("per-trial n out of range");
         }
         t.n = static_cast<int>(*tn);
       }
@@ -386,14 +346,14 @@ ParsedTrace parse_trace(std::istream& in) {
       continue;
     }
     const auto kind = kind_from_string(*name);
-    if (!kind) fail(line_no, "unknown event '" + *name + "'");
-    if (trace.trials.empty()) fail(line_no, "event before first trial marker");
+    if (!kind) f.fail("unknown event '" + *name + "'");
+    if (trace.trials.empty()) f.fail("event before first trial marker");
     const int cur_n =
         trace.trials.back().n > 0 ? trace.trials.back().n : trace.n;
 
     TraceEvent e;
     e.kind = *kind;
-    e.round = require_int_in(line, "k", 0, kIntMax, line_no);
+    e.round = require_int_in(f, "k", 0, kIntMax);
     switch (*kind) {
       case EventKind::kRoundStart:
       case EventKind::kRoundEnd:
@@ -401,153 +361,143 @@ ParsedTrace parse_trace(std::istream& in) {
       case EventKind::kMsgSent:
       case EventKind::kMsgTimely:
       case EventKind::kMsgLost:
-        e.src = check_pid(require_int(line, "s", line_no), cur_n, "src",
-                          line_no);
-        e.dst = check_pid(require_int(line, "d", line_no), cur_n, "dst",
-                          line_no);
+        e.src = check_pid(f, f.require_int("s"), cur_n, "src");
+        e.dst = check_pid(f, f.require_int("d"), cur_n, "dst");
         break;
       case EventKind::kMsgLate:
-        e.src = check_pid(require_int(line, "s", line_no), cur_n, "src",
-                          line_no);
-        e.dst = check_pid(require_int(line, "d", line_no), cur_n, "dst",
-                          line_no);
-        e.delay = require_int_in(line, "delay", 1, kIntMax, line_no);
+        e.src = check_pid(f, f.require_int("s"), cur_n, "src");
+        e.dst = check_pid(f, f.require_int("d"), cur_n, "dst");
+        e.delay = require_int_in(f, "delay", 1, kIntMax);
         break;
       case EventKind::kOracleOutput:
-        e.proc = check_pid(require_int(line, "p", line_no), cur_n, "proc",
-                           line_no);
-        e.leader = check_pid(require_int(line, "ld", line_no), cur_n,
-                             "leader", line_no);
+        e.proc = check_pid(f, f.require_int("p"), cur_n, "proc");
+        e.leader = check_pid(f, f.require_int("ld"), cur_n, "leader");
         break;
       case EventKind::kPredicateEval: {
-        const long long sat = require_int(line, "sat", line_no);
+        const long long sat = f.require_int("sat");
         if (sat < 0 || sat >= (1 << kTraceNumModels)) {
-          fail(line_no, "sat mask out of range");
+          f.fail("sat mask out of range");
         }
         e.sat = static_cast<std::uint8_t>(sat);
-        if (const auto csat = find_int(line, "csat", line_no)) {
+        if (const auto csat = f.find_int("csat")) {
           if (*csat < 0 || *csat >= (1 << kTraceNumLinkClasses)) {
-            fail(line_no, "csat mask out of range");
+            f.fail("csat mask out of range");
           }
           e.csat = static_cast<std::uint8_t>(*csat);
         }
         break;
       }
       case EventKind::kDecide: {
-        e.proc = check_pid(require_int(line, "p", line_no), cur_n, "proc",
-                           line_no);
-        e.value = require_int(line, "v", line_no);
-        const long long rule = require_int(line, "rule", line_no);
-        if (rule < 0 || rule > 255) fail(line_no, "rule out of range");
+        e.proc = check_pid(f, f.require_int("p"), cur_n, "proc");
+        e.value = f.require_int("v");
+        const long long rule = f.require_int("rule");
+        if (rule < 0 || rule > 255) f.fail("rule out of range");
         e.rule = static_cast<std::uint8_t>(rule);
         break;
       }
       case EventKind::kCrash:
-        e.proc = check_pid(require_int(line, "p", line_no), cur_n, "proc",
-                           line_no);
+        e.proc = check_pid(f, f.require_int("p"), cur_n, "proc");
         break;
       case EventKind::kFaultInjected: {
-        const long long fk = require_int(line, "fk", line_no);
-        if (fk < 1 || fk > 255) fail(line_no, "fault kind out of range");
+        const long long fk = f.require_int("fk");
+        if (fk < 1 || fk > 255) f.fail("fault kind out of range");
         e.rule = static_cast<std::uint8_t>(fk);
-        if (const auto p = find_int(line, "p", line_no)) {
-          e.proc = check_pid(*p, cur_n, "proc", line_no);
+        if (const auto p = f.find_int("p")) {
+          e.proc = check_pid(f, *p, cur_n, "proc");
         }
-        if (const auto s_ = find_int(line, "s", line_no)) {
-          e.src = check_pid(*s_, cur_n, "src", line_no);
+        if (const auto s_ = f.find_int("s")) {
+          e.src = check_pid(f, *s_, cur_n, "src");
         }
-        if (const auto d = find_int(line, "d", line_no)) {
-          e.dst = check_pid(*d, cur_n, "dst", line_no);
+        if (const auto d = f.find_int("d")) {
+          e.dst = check_pid(f, *d, cur_n, "dst");
         }
-        if (const auto dl = find_int_in(line, "delay", 1, kIntMax, line_no)) {
+        if (const auto dl = find_int_in(f, "delay", 1, kIntMax)) {
           e.delay = *dl;
         }
         break;
       }
       case EventKind::kClientOp: {
         // Clients live in their own id space (>= 0, not bounded by n).
-        e.proc = require_int_in(line, "p", 0, kIntMax, line_no);
-        const auto ph = find_str(line, "ph");
+        e.proc = require_int_in(f, "p", 0, kIntMax);
+        const auto ph = f.find_str("ph");
         if (!ph || !op_phase_from_string(ph->c_str(), e.op_phase)) {
-          fail(line_no, "bad or missing op phase 'ph'");
+          f.fail("bad or missing op phase 'ph'");
         }
-        const auto f = find_str(line, "f");
-        if (!f || !op_func_from_string(f->c_str(), e.op_func)) {
-          fail(line_no, "bad or missing op function 'f'");
+        const auto fn = f.find_str("f");
+        if (!fn || !op_func_from_string(fn->c_str(), e.op_func)) {
+          f.fail("bad or missing op function 'f'");
         }
-        e.op_key = require_int_in(line, "key", 0, kIntMax, line_no);
-        e.op_id = require_int(line, "id", line_no);
-        if (e.op_id < 0) fail(line_no, "negative op id");
-        if (const auto a = find_int(line, "a", line_no)) e.arg = *a;
-        if (const auto b = find_int(line, "b", line_no)) e.arg2 = *b;
-        if (const auto v = find_int(line, "v", line_no)) e.value = *v;
+        e.op_key = require_int_in(f, "key", 0, kIntMax);
+        e.op_id = f.require_int("id");
+        if (e.op_id < 0) f.fail("negative op id");
+        if (const auto a = f.find_int("a")) e.arg = *a;
+        if (const auto b = f.find_int("b")) e.arg2 = *b;
+        if (const auto v = f.find_int("v")) e.value = *v;
         break;
       }
       case EventKind::kSpan: {
-        const long long sp = require_int(line, "sp", line_no);
-        if (sp <= 0) fail(line_no, "span id must be positive");
+        const long long sp = f.require_int("sp");
+        if (sp <= 0) f.fail("span id must be positive");
         e.span_id = static_cast<std::uint64_t>(sp);
-        const auto sk = find_str(line, "sk");
+        const auto sk = f.find_str("sk");
         if (!sk || !span_kind_from_string(sk->c_str(), e.span_kind)) {
-          fail(line_no, "bad or missing span kind 'sk'");
+          f.fail("bad or missing span kind 'sk'");
         }
-        const auto sph = find_str(line, "sph");
+        const auto sph = f.find_str("sph");
         if (!sph || !span_phase_from_string(sph->c_str(), e.span_phase)) {
-          fail(line_no, "bad or missing span phase 'sph'");
+          f.fail("bad or missing span phase 'sph'");
         }
-        if (const auto pa = find_int(line, "pa", line_no)) {
-          if (*pa <= 0) fail(line_no, "span parent must be positive");
+        if (const auto pa = f.find_int("pa")) {
+          if (*pa <= 0) f.fail("span parent must be positive");
           e.span_parent = static_cast<std::uint64_t>(*pa);
         }
-        if (const auto t = find_int(line, "t", line_no)) {
-          if (*t < 0) fail(line_no, "negative span timestamp");
+        if (const auto t = f.find_int("t")) {
+          if (*t < 0) f.fail("negative span timestamp");
           e.t_ns = *t;
         }
         if (e.span_phase == span_phase::kCause && e.span_parent == 0) {
-          fail(line_no, "cause edge without 'pa'");
+          f.fail("cause edge without 'pa'");
         }
         // Lifecycle checks, line-accurate: a span begins at most once,
         // ends at most once, and never ends before it begins.
         if (e.span_phase == span_phase::kBegin) {
           if (!span_state.try_emplace(e.span_id, SpanState::kBegun).second) {
-            fail(line_no,
-                 "duplicate span begin for id " + std::to_string(sp));
+            f.fail("duplicate span begin for id " + std::to_string(sp));
           }
         } else if (e.span_phase == span_phase::kEnd) {
           const auto it = span_state.find(e.span_id);
           if (it == span_state.end()) {
-            fail(line_no,
-                 "span end before begin for id " + std::to_string(sp));
+            f.fail("span end before begin for id " + std::to_string(sp));
           }
           if (it->second == SpanState::kEnded) {
-            fail(line_no, "duplicate span end for id " + std::to_string(sp));
+            f.fail("duplicate span end for id " + std::to_string(sp));
           }
           it->second = SpanState::kEnded;
         }
         break;
       }
       case EventKind::kMetricsSnapshot: {
-        const auto m = find_str(line, "m");
+        const auto m = f.find_str("m");
         int metric = -1;
         if (m) {
           for (int i = 0; i < kSpanMetricCount; ++i) {
             if (*m == kSpanMetricNames[i]) metric = i;
           }
         }
-        if (metric < 0) fail(line_no, "bad or missing metric name 'm'");
+        if (metric < 0) f.fail("bad or missing metric name 'm'");
         e.op_key = metric;
-        e.op_id = require_int(line, "c", line_no);
-        if (e.op_id < 1) fail(line_no, "metrics count must be >= 1");
-        const long long p50 = require_int(line, "p50", line_no);
-        const long long p90 = require_int(line, "p90", line_no);
-        const long long p99 = require_int(line, "p99", line_no);
-        const long long p999 = require_int(line, "p999", line_no);
-        const long long mx = require_int(line, "max", line_no);
+        e.op_id = f.require_int("c");
+        if (e.op_id < 1) f.fail("metrics count must be >= 1");
+        const long long p50 = f.require_int("p50");
+        const long long p90 = f.require_int("p90");
+        const long long p99 = f.require_int("p99");
+        const long long p999 = f.require_int("p999");
+        const long long mx = f.require_int("max");
         if (p50 < 0 || p90 < 0 || p99 < 0 || p999 < 0 || mx < 0) {
-          fail(line_no, "negative metrics quantile");
+          f.fail("negative metrics quantile");
         }
         if (p50 > p90 || p90 > p99 || p99 > p999 || p999 > mx) {
-          fail(line_no, "metrics quantiles not monotone");
+          f.fail("metrics quantiles not monotone");
         }
         e.value = p50;
         e.arg = p90;

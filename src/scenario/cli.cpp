@@ -80,10 +80,7 @@ void print_spec(std::ostream& os, const ScenarioSpec& spec) {
     os << "  link_models      " << spec.link_models << "\n";
     LinkModelMatrix m;
     const std::string err = parse_link_models(spec.link_models, spec.n, m);
-    if (!err.empty()) {  // validate() reports this on `run`
-      os << "    (" << err << ")\n";
-      return;
-    }
+    TM_CHECK(err.empty(), "validate() admits only parseable link_models");
     os << "\nresolved link-model matrix (rows = destination, columns = "
           "source; S sync, P psync, A async):\n"
        << m.grid();
@@ -99,10 +96,7 @@ void print_spec(std::ostream& os, const ScenarioSpec& spec) {
 void print_fault_timeline(std::ostream& os, const ScenarioSpec& spec) {
   if (!spec.fault_spec.empty()) {
     const fault::ParseResult pr = fault::load_fault_plan(spec.fault_spec);
-    if (!pr.ok()) {  // validate() reports this on `run`; stay informative
-      os << "\nfault plan: " << pr.error << "\n";
-      return;
-    }
+    TM_CHECK(pr.ok(), "validate() admits only parseable plans");
     os << "\nfault plan (every trial):\n" << fault::timeline(pr.plan);
     return;
   }
@@ -115,21 +109,10 @@ void print_fault_timeline(std::ostream& os, const ScenarioSpec& spec) {
      << fault::timeline(plan);
 }
 
-void print_bench_usage(std::ostream& os, const char* name,
-                       const Scenario& sc) {
-  os << "usage: " << sc.binary << " [--csv] [key=value ...]\n\n"
-     << sc.figure << ": " << sc.summary << "\n"
-     << "Scenario '" << name
-     << "' of the registry; the same experiment runs via\n"
-        "`timing_lab run "
-     << name << " [overrides]`.\n\noverrides:\n"
-     << override_help();
-}
-
-/// Shared run path: execute `sc` over the (already validated) spec,
-/// streaming results JSONL to spec.results_path when set, then re-parse
-/// what was written with the strict parser so a truncated or malformed
-/// file fails the run instead of poisoning downstream tooling.
+/// Execute `sc` over the (already validated) spec, streaming results
+/// JSONL to spec.results_path when set, then re-parse what was written
+/// with the strict parser so a truncated or malformed file fails the run
+/// instead of poisoning downstream tooling.
 int execute(const Scenario& sc, const ScenarioSpec& spec, bool csv) {
   RunContext ctx;
   ctx.out = &std::cout;
@@ -195,9 +178,9 @@ void print_lab_usage(std::ostream& os) {
 }
 
 int lab_list() {
-  Table t({"scenario", "figure", "binary", "summary"});
+  Table t({"scenario", "figure", "summary"});
   for (const Scenario& s : registry()) {
-    t.add_row({s.name, s.figure, s.binary, s.summary});
+    t.add_row({s.name, s.figure, s.summary});
   }
   t.print(std::cout, "Registered scenarios (" +
                          std::to_string(registry().size()) + ")");
@@ -218,9 +201,14 @@ int lab_describe(int argc, char** argv) {
     std::cerr << "error: " << args.error << "\n";
     return 2;
   }
+  const std::string invalid = validate(*sc, spec);
+  if (!invalid.empty()) {
+    std::cerr << "error: invalid scenario parameters: " << invalid << "\n";
+    return 2;
+  }
   std::cout << sc->name << " - " << sc->figure << "\n"
-            << sc->summary << "\n"
-            << "binary: " << sc->binary << "\n\n"
+            << sc->summary << "\n\n"
+            << sc->description << "\n"
             << (argc > 3 ? "resolved spec:\n" : "defaults:\n");
   print_spec(std::cout, spec);
   if (sc->figure == std::string("chaos") || !spec.fault_spec.empty()) {
@@ -511,32 +499,6 @@ int lab_replay(int argc, char** argv) {
 }
 
 }  // namespace
-
-int bench_main(const char* name, int argc, char** argv) {
-  const Scenario* sc = find_scenario(name);
-  if (!sc) {
-    std::cerr << "error: scenario '" << name << "' is not registered\n";
-    return 2;
-  }
-  ScenarioSpec spec = sc->defaults();
-  if (spec.honor_env_runs) spec.runs = runs_or_default(spec.runs);
-  const CliArgs args = apply_cli_args(spec, argc, argv, 1);
-  if (args.help) {
-    print_bench_usage(std::cout, name, *sc);
-    return 0;
-  }
-  if (!args.error.empty()) {
-    std::cerr << "error: " << args.error << "\n\n";
-    print_bench_usage(std::cerr, name, *sc);
-    return 2;
-  }
-  const std::string invalid = validate(*sc, spec);
-  if (!invalid.empty()) {
-    std::cerr << "error: invalid scenario parameters: " << invalid << "\n";
-    return 2;
-  }
-  return execute(*sc, spec, args.csv);
-}
 
 int lab_main(int argc, char** argv) {
   if (argc < 2) {

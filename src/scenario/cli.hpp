@@ -1,19 +1,15 @@
-// Entry points for the two scenario surfaces:
-//  * bench_main — the body of every migrated fig1*/ablation_* binary:
-//    registry defaults (+ TIMING_RUNS where the figure sweeps honour it),
-//    shared override grammar, optional results JSONL. Default invocation
-//    prints exactly what the pre-registry binary printed.
-//  * lab_main — tools/timing_lab: list / describe / run / validate over
-//    the same registry, with results JSONL on by default for `run`.
+// The scenario CLI, tools/timing_lab: list / describe / run / validate /
+// replay over the registry (scenario/registry.hpp). `run` applies the
+// shared override grammar (scenario/overrides.hpp) to the entry's
+// defaults, honours TIMING_RUNS where the figure sweeps do, and writes
+// results JSONL unless `--no-jsonl` is given; its default stdout is what
+// the paper-figure goldens under tests/golden/ pin.
 #pragma once
 
 namespace timing::scenario {
 
-/// Run the registered scenario `name` as a bench binary over
-/// argv[1..argc). Returns the process exit code (0 ok, 2 usage error).
-int bench_main(const char* name, int argc, char** argv);
-
-/// The timing_lab driver: argv[1] selects the subcommand.
+/// The timing_lab driver: argv[1] selects the subcommand. Returns the
+/// process exit code (0 ok, 1 failure, 2 usage error).
 int lab_main(int argc, char** argv);
 
 }  // namespace timing::scenario

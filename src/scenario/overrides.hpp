@@ -1,6 +1,6 @@
 // The shared scenario CLI grammar: `key=value` overrides over a
-// ScenarioSpec plus the common flags. Used by timing_lab and by every
-// migrated bench binary, so all experiment surfaces accept the same
+// ScenarioSpec plus the common flags. Used by every timing_lab command
+// that takes a spec (describe, run, replay), so they all accept the same
 // arguments, reject the same garbage, and print the same usage text.
 #pragma once
 

@@ -1,7 +1,6 @@
 // The named scenario registry: one entry per paper figure / ablation.
-// Bench binaries are thin wrappers over entries (scenario/cli.hpp's
-// bench_main), and tools/timing_lab drives the same entries by name with
-// `key=value` overrides — experiments are data, not code.
+// tools/timing_lab runs the entries by name with `key=value` overrides
+// (`timing_lab run fig1g runs=4`) — experiments are data, not code.
 #pragma once
 
 #include <string>
@@ -15,12 +14,13 @@ namespace timing::scenario {
 struct Scenario {
   /// Registry key ("fig1g", "ablation/group_size").
   const char* name;
-  /// The bench executable wrapping this entry.
-  const char* binary;
   /// Paper anchor ("Figure 1(g)", "Appendix C", "ablation").
   const char* figure;
   /// One-line description for `timing_lab list`.
   const char* summary;
+  /// What the scenario measures and the paper's claims it reproduces
+  /// (or the ablation's setup), printed by `timing_lab describe`.
+  const char* description;
   /// Default (paper) parameters. A function, not a static, so profile
   /// defaults are constructed on demand.
   ScenarioSpec (*defaults)();
@@ -35,8 +35,9 @@ struct Scenario {
 };
 
 /// validate(spec) plus the rules that depend on what `sc` computes: a
+/// scenario that draws random fault plans needs n >= 3, and a
 /// decision-window scenario's runs must be longer than every window.
-/// The CLI checks every spec it runs with this.
+/// The CLI checks every spec it runs or describes with this.
 std::string validate(const Scenario& sc, const ScenarioSpec& spec);
 
 /// All registered scenarios, in presentation order (figures, appendix,

@@ -1,12 +1,11 @@
 #include "scenario/results.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace timing::scenario {
 
@@ -45,101 +44,20 @@ void write_string_array(std::ostream& out,
   out << ']';
 }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& why) {
-  throw std::runtime_error("results line " + std::to_string(line_no) + ": " +
-                           why);
-}
-
-std::optional<long long> find_int(const std::string& line,
-                                  const std::string& key,
-                                  std::size_t line_no) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start || errno != 0) {
-    fail(line_no, "bad integer for '" + key + "'");
-  }
-  return v;
-}
-
-long long require_int(const std::string& line, const std::string& key,
-                      std::size_t line_no) {
-  const auto v = find_int(line, key, line_no);
-  if (!v) fail(line_no, "missing field '" + key + "'");
-  return *v;
-}
-
-/// Reads the JSON string starting at the opening quote `line[pos]`;
-/// advances pos past the closing quote.
-std::string read_string(const std::string& line, std::size_t& pos,
-                        std::size_t line_no) {
-  if (pos >= line.size() || line[pos] != '"') {
-    fail(line_no, "expected '\"'");
-  }
-  std::string out;
-  for (std::size_t i = pos + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') {
-      pos = i + 1;
-      return out;
-    }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i >= line.size()) break;
-    switch (line[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u': {
-        if (i + 4 >= line.size()) fail(line_no, "truncated \\u escape");
-        const std::string hex = line.substr(i + 1, 4);
-        char* end = nullptr;
-        const long cp = std::strtol(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + 4 || cp < 0 || cp > 0x7f) {
-          fail(line_no, "unsupported \\u escape");
-        }
-        out += static_cast<char>(cp);
-        i += 4;
-        break;
-      }
-      default: fail(line_no, "unknown escape");
-    }
-  }
-  fail(line_no, "unterminated string");
-}
-
-std::optional<std::string> find_str(const std::string& line,
-                                    const std::string& key,
-                                    std::size_t line_no) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  std::size_t at = pos + needle.size() - 1;  // the opening quote
-  return read_string(line, at, line_no);
-}
-
-std::vector<std::string> require_string_array(const std::string& line,
-                                              const std::string& key,
-                                              std::size_t line_no) {
+std::vector<std::string> require_string_array(const JsonlLine& f,
+                                              const std::string& key) {
+  const std::string& line = f.text();
   const std::string needle = "\"" + key + "\":[";
   const auto pos = line.find(needle);
-  if (pos == std::string::npos) fail(line_no, "missing field '" + key + "'");
+  if (pos == std::string::npos) f.fail("missing field '" + key + "'");
   std::size_t at = pos + needle.size();
   std::vector<std::string> out;
   if (at < line.size() && line[at] == ']') return out;
   while (true) {
-    out.push_back(read_string(line, at, line_no));
-    if (at >= line.size()) fail(line_no, "unterminated array");
+    out.push_back(f.read_string(at));
+    if (at >= line.size()) f.fail("unterminated array");
     if (line[at] == ']') break;
-    if (line[at] != ',') fail(line_no, "expected ',' or ']' in array");
+    if (line[at] != ',') f.fail("expected ',' or ']' in array");
     ++at;
   }
   return out;
@@ -197,65 +115,64 @@ ParsedResults parse_results(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    if (have_end) fail(line_no, "content after end marker");
-    if (line.front() != '{' || line.back() != '}') {
-      fail(line_no, "not a JSON object");
-    }
+    const JsonlLine f(line, "results", line_no);
+    if (have_end) f.fail("content after end marker");
+    if (line.front() != '{' || line.back() != '}') f.fail("not a JSON object");
 
-    if (const auto schema = find_str(line, "schema", line_no)) {
-      if (*schema != "timing-lab-results") fail(line_no, "unknown schema");
-      if (have_header) fail(line_no, "duplicate header");
-      const long long v = require_int(line, "v", line_no);
+    if (const auto schema = f.find_str("schema")) {
+      if (*schema != "timing-lab-results") f.fail("unknown schema");
+      if (have_header) f.fail("duplicate header");
+      const long long v = f.require_int("v");
       if (v != kResultsSchemaVersion) {
-        fail(line_no, "unsupported schema version " + std::to_string(v));
+        f.fail("unsupported schema version " + std::to_string(v));
       }
-      const auto name = find_str(line, "scenario", line_no);
-      if (!name || name->empty()) fail(line_no, "missing scenario name");
+      const auto name = f.find_str("scenario");
+      if (!name || name->empty()) f.fail("missing scenario name");
       res.version = static_cast<int>(v);
       res.scenario = *name;
       have_header = true;
       continue;
     }
-    if (!have_header) fail(line_no, "record before header");
+    if (!have_header) f.fail("record before header");
 
-    const auto kind = find_str(line, "e", line_no);
-    if (!kind) fail(line_no, "missing record kind");
+    const auto kind = f.find_str("e");
+    if (!kind) f.fail("missing record kind");
     if (*kind == "table") {
-      const long long id = require_int(line, "id", line_no);
+      const long long id = f.require_int("id");
       if (id != static_cast<long long>(res.tables.size())) {
-        fail(line_no, "table ids must be declared sequentially from 0");
+        f.fail("table ids must be declared sequentially from 0");
       }
       ResultTable t;
       t.id = static_cast<int>(id);
-      const auto caption = find_str(line, "caption", line_no);
-      if (!caption) fail(line_no, "missing field 'caption'");
+      const auto caption = f.find_str("caption");
+      if (!caption) f.fail("missing field 'caption'");
       t.caption = *caption;
-      t.cols = require_string_array(line, "cols", line_no);
-      if (t.cols.empty()) fail(line_no, "table with no columns");
+      t.cols = require_string_array(f, "cols");
+      if (t.cols.empty()) f.fail("table with no columns");
       res.tables.push_back(std::move(t));
     } else if (*kind == "row") {
-      const long long id = require_int(line, "id", line_no);
+      const long long id = f.require_int("id");
       if (id < 0 || id >= static_cast<long long>(res.tables.size())) {
-        fail(line_no, "row for undeclared table");
+        f.fail("row for undeclared table");
       }
-      auto row = require_string_array(line, "v", line_no);
+      auto row = require_string_array(f, "v");
       ResultTable& t = res.tables[static_cast<std::size_t>(id)];
       if (row.size() != t.cols.size()) {
-        fail(line_no, "row arity != column count");
+        f.fail("row arity != column count");
       }
       t.rows.push_back(std::move(row));
     } else if (*kind == "end") {
-      const long long tables = require_int(line, "tables", line_no);
-      const long long rows = require_int(line, "rows", line_no);
+      const long long tables = f.require_int("tables");
+      const long long rows = f.require_int("rows");
       if (tables != static_cast<long long>(res.tables.size())) {
-        fail(line_no, "end marker table count mismatch");
+        f.fail("end marker table count mismatch");
       }
       if (rows != res.total_rows()) {
-        fail(line_no, "end marker row count mismatch");
+        f.fail("end marker row count mismatch");
       }
       have_end = true;
     } else {
-      fail(line_no, "unknown record '" + *kind + "'");
+      f.fail("unknown record '" + *kind + "'");
     }
   }
   if (!have_header) throw std::runtime_error("results: missing header line");

@@ -1,7 +1,7 @@
 // Execution context shared by every scenario runner: where tables and
 // prose go, whether tables render as CSV, and the optional structured
 // results stream. Runners write ONLY through this, so the same runner
-// byte-identically serves the bench binaries (text to stdout), --csv
+// byte-identically serves `timing_lab run` (text to stdout), --csv
 // pipelines, and timing_lab's JSONL emission.
 #pragma once
 

@@ -115,9 +115,10 @@ int run_fig1d(const ScenarioSpec& spec, const RunContext& ctx) {
   for (const auto& r : rs) {
     t.add_row({Table::num(r.timeout_ms, 0), Table::num(r.mean_p, 3)});
   }
-  ctx.emit(t, std::string() +
-          "Figure 1(d): WAN timeout -> fraction of timely messages "
-          "(8 PlanetLab-profile sites, 33 runs x 300 rounds)");
+  ctx.emit(t, "Figure 1(d): WAN timeout -> fraction of timely messages (" +
+                  std::to_string(spec.n) + " PlanetLab-profile sites, " +
+                  std::to_string(spec.runs) + " runs x " +
+                  std::to_string(spec.rounds_per_run) + " rounds)");
   return 0;
 }
 
@@ -135,9 +136,8 @@ int run_fig1e(const ScenarioSpec& spec, const RunContext& ctx) {
                cell(r.models[model_index(TimingModel::kLm)]),
                cell(r.models[model_index(TimingModel::kWlm)])});
   }
-  ctx.emit(t, std::string() +
-          "Figure 1(e): WAN, measured P_M per timeout (mean over 33 runs, "
-          "95% CI)");
+  ctx.emit(t, "Figure 1(e): WAN, measured P_M per timeout (mean over " +
+                  std::to_string(spec.runs) + " runs, 95% CI)");
   return 0;
 }
 

@@ -486,8 +486,8 @@ TEST(PaxosUnit, RecoveryIsLinearInSeededBallotChain) {
   ASSERT_GE(decided, 0);
   // With a full view the leader learns the global max promise in one
   // NACK wave, so this friendly case needs only a couple of ballots;
-  // the adversarial <>WLM case (bench/ablation_paxos_recovery) needs
-  // Theta(n).
+  // the adversarial <>WLM case (scenario ablation/paxos_recovery)
+  // needs Theta(n).
   EXPECT_GE(raw[0]->ballots_started(), 2);
   EXPECT_TRUE(e.all_alive_decided());
 }

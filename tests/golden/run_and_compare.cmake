@@ -1,8 +1,8 @@
 # Golden-output test driver: run BINARY (with optional ARGS, a
 # semicolon-separated list) in a clean environment (no TIMING_RUNS /
 # TIMING_THREADS, which legitimately change the sweep) and require its
-# stdout to be byte-identical to the GOLDEN fixture. Pins the migrated
-# figure binaries — and machine-readable CLI output like
+# stdout to be byte-identical to the GOLDEN fixture. Pins the figure
+# output of `timing_lab run` — and machine-readable CLI output like
 # `trace_tool summary --json` — to the committed bytes.
 if(NOT DEFINED BINARY OR NOT DEFINED GOLDEN)
   message(FATAL_ERROR "usage: cmake -DBINARY=... [-DARGS=a;b;c] -DGOLDEN=... -P run_and_compare.cmake")

@@ -1,18 +1,21 @@
 // Tests for the scenario layer: spec validation, the shared override
-// grammar, the registry, the results JSONL schema (round-trip + strict
-// rejection), checked parsing, and the harness kernel's rejection of
-// incoherent ExperimentConfigs.
+// grammar, the registry (and `timing_lab describe` over every entry), the
+// results JSONL schema (round-trip + strict rejection), checked parsing,
+// and the harness kernel's rejection of incoherent ExperimentConfigs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parse.hpp"
 #include "harness/experiments.hpp"
 #include "oracles/omega.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/overrides.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/results.hpp"
@@ -171,6 +174,34 @@ TEST(SpecTest, DecisionWindowScenariosRejectRunsNoLongerThanAWindow) {
             "rounds)");
   s.runs = 0;  // spec-level errors still come first
   EXPECT_EQ(validate(fig1g, s), "runs must be >= 1");
+}
+
+TEST(SpecTest, RandomFaultPlanScenariosNeedThreeProcesses) {
+  // Random fault plans crash processes beyond a correct majority, so a
+  // run that draws them needs n >= 3; a fixed fault= plan does not.
+  const std::string err =
+      "random fault plans need n >= 3 (a crash needs a spare process "
+      "beyond the majority)";
+  const std::set<std::string> random_plans = {
+      "chaos/consensus", "chaos/single", "smr/linearizable",
+      "adversary/search"};
+  for (const Scenario& sc : registry()) {
+    ScenarioSpec s = sc.defaults();
+    if (s.sampler == SamplerKind::kLan || s.sampler == SamplerKind::kWan) {
+      continue;  // n is pinned to the testbed profile
+    }
+    s.n = 2;
+    EXPECT_EQ(validate(sc, s), random_plans.count(sc.name) ? err : "")
+        << sc.name;
+  }
+  const Scenario& single = *find_scenario("chaos/single");
+  ScenarioSpec s = single.defaults();
+  s.n = 2;
+  s.fault_spec = "gsr @3";
+  EXPECT_EQ(validate(single, s), "");
+  s.fault_spec.clear();
+  s.n = 3;
+  EXPECT_EQ(validate(single, s), "");
 }
 
 TEST(SpecTest, RejectsBadGroupSizes) {
@@ -365,10 +396,9 @@ TEST(OverrideTest, AlgorithmKeys) {
 
 TEST(RegistryTest, HasAllScenariosWithUniqueNames) {
   EXPECT_GE(registry().size(), 15u);
-  std::set<std::string> names, binaries;
+  std::set<std::string> names;
   for (const Scenario& s : registry()) {
     EXPECT_TRUE(names.insert(s.name).second) << "duplicate " << s.name;
-    EXPECT_TRUE(binaries.insert(s.binary).second) << "duplicate " << s.binary;
   }
   // Mirrors tm_smoke_scenarios in tests/CMakeLists.txt: a new entry must
   // also get a `ctest -L scenario` smoke run.
@@ -392,10 +422,24 @@ TEST(RegistryTest, EveryDefaultSpecValidates) {
 
 TEST(RegistryTest, FindScenario) {
   ASSERT_NE(find_scenario("fig1g"), nullptr);
-  EXPECT_STREQ(find_scenario("fig1g")->binary, "fig1g_wan_rounds");
   ASSERT_NE(find_scenario("ablation/group_size"), nullptr);
   EXPECT_EQ(find_scenario("fig1z"), nullptr);
   EXPECT_EQ(find_scenario(""), nullptr);
+}
+
+TEST(RegistryTest, EveryScenarioDescribes) {
+  for (const Scenario& sc : registry()) {
+    std::string name = sc.name;
+    std::string cmd = "describe";
+    std::string prog = "timing_lab";
+    char* argv[] = {prog.data(), cmd.data(), name.data()};
+    std::ostringstream out;
+    std::streambuf* const saved = std::cout.rdbuf(out.rdbuf());
+    const int rc = lab_main(3, argv);
+    std::cout.rdbuf(saved);
+    EXPECT_EQ(rc, 0) << sc.name;
+    EXPECT_NE(out.str().find(sc.description), std::string::npos) << sc.name;
+  }
 }
 
 TEST(RegistryTest, FigureDefaultsMatchThePaper) {
@@ -408,6 +452,26 @@ TEST(RegistryTest, FigureDefaultsMatchThePaper) {
   EXPECT_EQ(s.seed, 42u);
   EXPECT_TRUE(s.honor_env_runs);
   EXPECT_EQ(s.timeouts_ms.size(), 12u);
+}
+
+TEST(RunnerTest, WanSweepCaptionsStateTheSampleSize) {
+  // The fig1d / fig1e captions (also the results JSONL table captions)
+  // report the spec's own sample size, not the paper default's.
+  const std::pair<const char*, const char*> cases[] = {
+      {"fig1d", "(8 PlanetLab-profile sites, 2 runs x 20 rounds)"},
+      {"fig1e", "(mean over 2 runs, 95% CI)"}};
+  for (const auto& [name, caption] : cases) {
+    const Scenario& sc = *find_scenario(name);
+    ScenarioSpec spec = sc.defaults();
+    spec.runs = 2;
+    spec.rounds_per_run = 20;
+    std::ostringstream out;
+    RunContext ctx;
+    ctx.out = &out;
+    ASSERT_EQ(sc.run(spec, ctx), 0) << name;
+    EXPECT_NE(out.str().find(caption), std::string::npos)
+        << name << ":\n" << out.str();
+  }
 }
 
 // ---------------------------------------------------------------------------
