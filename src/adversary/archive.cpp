@@ -14,22 +14,6 @@ namespace {
 
 constexpr const char* kMagic = "# adversary v1";
 
-/// Shortest text that parses back to exactly `v` (same policy as the
-/// fault-plan spec formatter, so header doubles round-trip too).
-std::string num(double v) {
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::ostringstream os;
-    os.precision(prec);
-    os << v;
-    double back = 0.0;
-    if (parse_double(os.str(), back) && back == v) return os.str();
-  }
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 /// key=value tokens of one header comment line (after "# ").
 void parse_pairs(const std::string& line,
                  std::vector<std::pair<std::string, std::string>>& out) {
@@ -49,7 +33,6 @@ ArchiveEntry make_archive_entry(const Candidate& c, const Fitness& f,
   ArchiveEntry e;
   e.eval = eval;
   e.candidate = c;
-  e.candidate.plan.source = c.plan.spec();
   e.verdict = verdict_string(f);
   e.delay = f.delay;
   e.decision_round = f.decision_round;
@@ -68,13 +51,14 @@ std::string format_archive_entry(const ArchiveEntry& e) {
   std::ostringstream os;
   os << kMagic << "\n";
   os << "# algorithm=" << algorithm_key(e.eval.algorithm) << " n=" << e.eval.n
-     << " leader=" << e.eval.leader << " pre_gsr_p=" << num(e.eval.pre_gsr_p)
+     << " leader=" << e.eval.leader
+     << " pre_gsr_p=" << format_double(e.eval.pre_gsr_p)
      << " eval_seed=" << e.eval.eval_seed << " samples=" << e.eval.samples
      << " min_rounds=" << e.eval.min_rounds << "\n";
   os << "# link_models=" << e.candidate.link_models.spec() << "\n";
-  os << "# verdict=" << e.verdict << " delay=" << num(e.delay)
-     << " decision_round=" << e.decision_round << " score=" << num(e.score)
-     << "\n";
+  os << "# verdict=" << e.verdict << " delay=" << format_double(e.delay)
+     << " decision_round=" << e.decision_round
+     << " score=" << format_double(e.score) << "\n";
   os << e.candidate.plan.spec();
   return os.str();
 }

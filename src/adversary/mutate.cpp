@@ -349,7 +349,7 @@ Candidate mutate(const Candidate& parent, const MutationConfig& cfg, Rng& rng) {
     const Op op = pick < plan_ops ? kPlanOps[pick] : kLinkOps[pick - plan_ops];
     Candidate next = parent;
     if (!apply(op, next, cfg, rng)) continue;
-    next.plan.source = next.plan.spec();
+    next.plan.source.clear();
     if (!fault::validate(next.plan, cfg.n, cfg.leader).empty()) continue;
     if (structurally_equal(next, parent)) continue;
     return next;

@@ -18,9 +18,10 @@
 // matrix's reliable plane could no longer carry the algorithm's native
 // model even with everyone alive (fault::granular_supports) — are
 // rejected and the mutator retries; after `attempts` failures it returns
-// the parent unchanged. The returned plan always carries its canonical
-// spec() in `source`, so every candidate the search ever holds is
-// replayable verbatim.
+// the parent unchanged. An edited plan's `source` is cleared rather than
+// re-formatted (a parsed parent's text no longer describes the child);
+// every candidate stays replayable verbatim through plan.spec(), which is
+// what a violation report prints for a plan without source text.
 //
 // Determinism: mutate() is a pure function of (parent, cfg, rng state).
 // The search derives one counter-based RNG sub-stream per (generation,

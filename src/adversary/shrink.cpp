@@ -35,14 +35,13 @@ ShrinkResult shrink(const Candidate& start, const MutationConfig& mcfg,
                     const EvalConfig& ecfg) {
   ShrinkResult out;
   out.candidate = start;
-  out.candidate.plan.source = out.candidate.plan.spec();
   out.fitness = evaluate(out.candidate, ecfg);
   out.evaluations = 1;
   double target = out.fitness.score;
 
   // Try one edit; adopt it when it validates and loses no score.
   auto attempt = [&](Candidate next) -> bool {
-    next.plan.source = next.plan.spec();
+    next.plan.source.clear();
     if (!fault::validate(next.plan, mcfg.n, mcfg.leader).empty()) return false;
     const Fitness f = evaluate(next, ecfg);
     ++out.evaluations;

@@ -1,10 +1,12 @@
 #include "common/parse.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace timing {
 
@@ -48,6 +50,20 @@ bool parse_double(const std::string& s, double& out) {
   if (!std::isfinite(v)) return false;
   out = v;
   return true;
+}
+
+std::string format_double(double v) {
+  // "%.17g" of any double is at most 24 bytes ("-2.2250738585072014e-308").
+  char buf[32];
+  char* end = buf;
+  for (int prec = 6; prec <= 17; ++prec) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == v) break;
+  }
+  return std::string(buf, end);
 }
 
 namespace {

@@ -2,8 +2,10 @@
 // scenario override grammar, timing_lab, trace_tool) and the TIMING_*
 // environment knobs. All parsers consume the ENTIRE string: trailing
 // garbage ("12x", "1.5.2") is a parse failure, not a silent truncation
-// the way std::atoi / bare strtol would treat it. It also holds the field
-// scanner that both JSONL readers (traces, results) share.
+// the way std::atoi / bare strtol would treat it. It also holds the
+// round-trip double formatter the fault-plan and adversary-archive texts
+// share, and the field scanner that both JSONL readers (traces, results)
+// share.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +24,13 @@ bool parse_u64(const std::string& s, std::uint64_t& out);
 /// Floating point (strtod grammar); rejects inf/nan spellings and
 /// trailing bytes.
 bool parse_double(const std::string& s, double& out);
+
+/// Shortest "%.<prec>g" spelling of `v`, trying prec = 6 up to 17, that
+/// reads back to exactly `v`; "%.17g" when none does (NaN, and values
+/// whose reading underflows). Byte-identical to streaming `v` at that
+/// precision. Fault-plan specs and archive headers are replay keys, so a
+/// format/parse round trip must not move a single drop threshold.
+std::string format_double(double v);
 
 /// Comma-separated lists; every element must parse and the list must be
 /// non-empty ("140,200" -> {140, 200}).

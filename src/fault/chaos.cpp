@@ -156,7 +156,6 @@ FaultPlan random_fault_plan(int n, ProcessId leader, std::uint64_t seed) {
   end.from = gsr;
   plan.events.push_back(end);
   plan.gsr = gsr;
-  plan.source = plan.spec();
 
   TM_CHECK(validate(plan, n, leader).empty(),
            "random_fault_plan produced an invalid plan");

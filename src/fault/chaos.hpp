@@ -34,7 +34,8 @@ int bound_after_gsr(AlgorithmKind k) noexcept;
 /// permanent crashes (never the leader, always leaving a correct
 /// majority), a recoverable crash, partitions, probabilistic drops,
 /// delays and leader suppression, closed by a gsr marker. Always passes
-/// validate(plan, n, leader); plan.source carries the canonical spec.
+/// validate(plan, n, leader). The plan is built as data: `source` stays
+/// empty, and a violation report formats spec() only when it is written.
 FaultPlan random_fault_plan(int n, ProcessId leader, std::uint64_t seed);
 
 /// Whether the reliable plane of `m`, restricted to `alive` processes,

@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/parse.hpp"
+
 namespace timing::fault {
 
 const char* to_string(FaultKind k) noexcept {
@@ -24,22 +26,6 @@ namespace {
 
 std::string endpoint(ProcessId p) {
   return p == kNoProcess ? "*" : std::to_string(p);
-}
-
-/// Shortest decimal that reparses to exactly `v` (probabilities and
-/// millisecond amounts): plan specs are replay keys, so a spec()/parse
-/// round trip must not perturb a single drop coin threshold.
-std::string num(double v) {
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::ostringstream os;
-    os.precision(prec);
-    os << v;
-    if (std::stod(os.str()) == v) return os.str();
-  }
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -66,11 +52,11 @@ std::string FaultEvent::spec() const {
     case FaultKind::kDrop:
       os << "drop " << endpoint(src) << "->" << endpoint(dst) << " @" << from
          << ".." << to;
-      if (prob < 1.0) os << " p=" << num(prob);
+      if (prob < 1.0) os << " p=" << format_double(prob);
       break;
     case FaultKind::kDelay:
       os << "delay " << endpoint(src) << "->" << endpoint(dst) << " +"
-         << num(extra_ms) << "ms @" << from << ".." << to;
+         << format_double(extra_ms) << "ms @" << from << ".." << to;
       break;
     case FaultKind::kSuppressLeader:
       os << "suppress_leader @" << from << ".." << to;

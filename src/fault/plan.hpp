@@ -77,8 +77,11 @@ struct FaultPlan {
   /// Terminal stabilization round; -1 when the plan has no gsr marker
   /// (pure-safety plans that never promise liveness).
   Round gsr = -1;
-  /// The text the plan was parsed from (or formatted to), kept verbatim
-  /// so safety violations can report a replayable spec.
+  /// The text the plan was parsed from, kept verbatim (comments and all)
+  /// so a violation report can quote what the user wrote. Empty for a
+  /// plan built or edited as data; reports then print spec(), so a plan
+  /// becomes text only when someone reads it. Whoever edits a parsed
+  /// plan's events clears it: it must never describe another plan.
   std::string source;
 
   bool empty() const noexcept { return events.empty(); }

@@ -58,10 +58,10 @@ TEST(AdversaryMutate, EveryMutantValidatesAndRoundTrips) {
         << "step " << step << ":\n" << c.plan.spec();
     ASSERT_GE(c.plan.gsr, 3);
     ASSERT_LE(c.plan.gsr, cfg.max_gsr);
-    // `source` is the canonical spec and parses back to the same plan.
-    const fault::ParseResult pr = fault::parse_fault_plan(c.plan.source);
+    // The canonical spec parses back to the same plan.
+    const fault::ParseResult pr = fault::parse_fault_plan(c.plan.spec());
     ASSERT_TRUE(pr.ok()) << pr.error;
-    EXPECT_TRUE(fault::structurally_equal(pr.plan, c.plan)) << c.plan.source;
+    EXPECT_TRUE(fault::structurally_equal(pr.plan, c.plan)) << c.plan.spec();
     // The matrix spec round-trips too.
     LinkModelMatrix m;
     ASSERT_EQ(parse_link_models(c.link_models.spec(), cfg.n, m), "");
@@ -76,7 +76,7 @@ TEST(AdversaryMutate, MutationIsPureInRngState) {
   const Candidate ca = mutate(parent, cfg, a);
   const Candidate cb = mutate(parent, cfg, b);
   EXPECT_TRUE(structurally_equal(ca, cb));
-  EXPECT_EQ(ca.plan.source, cb.plan.source);
+  EXPECT_EQ(ca.plan.spec(), cb.plan.spec());
 }
 
 TEST(AdversaryMutate, LinkEditsKeepReliablePlaneSupport) {
@@ -101,7 +101,7 @@ TEST(AdversaryCandidate, HashIgnoresSourceFormatting) {
   const MutationConfig cfg = small_mut();
   Candidate a = seed_candidate(cfg, 77);
   Candidate b = a;
-  b.plan.source = "# reformatted\n" + b.plan.source;
+  b.plan.source = "# reformatted\n" + b.plan.spec();
   EXPECT_TRUE(structurally_equal(a, b));
   EXPECT_EQ(candidate_hash(a), candidate_hash(b));
 

@@ -344,10 +344,67 @@ TEST(Chaos, RandomPlansAlwaysValidate) {
     EXPECT_EQ(validate(plan, 5, 0), "");
     EXPECT_GE(plan.gsr, 6);
     // The canonical spec must replay to the same plan.
-    const ParseResult pr = parse_fault_plan(plan.source);
+    const ParseResult pr = parse_fault_plan(plan.spec());
     ASSERT_TRUE(pr.ok()) << pr.error;
     EXPECT_EQ(pr.plan.events, plan.events);
   }
+}
+
+/// The plan text a violation report quotes (everything after its
+/// "fault plan (replayable):" line), from a run that max_rounds = 1 cuts
+/// off before any decision, so it always reports a liveness violation.
+std::string reported_plan(const FaultPlan& plan) {
+  ChaosTrialConfig cfg;
+  cfg.n = 5;
+  cfg.leader = 0;
+  cfg.seed = 99;
+  cfg.max_rounds = 1;
+  cfg.plan = plan;
+  const ChaosRunResult r = run_chaos_algorithm(AlgorithmKind::kWlm, cfg);
+  EXPECT_FALSE(r.liveness_ok);
+  const std::string marker = "fault plan (replayable):\n";
+  const std::size_t at = r.violation.find(marker);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no replayable plan in:\n" << r.violation;
+    return "";
+  }
+  return r.violation.substr(at + marker.size());
+}
+
+TEST(Chaos, ViolationReportCarriesAReplayablePlan) {
+  // A generated plan carries no text; the report formats it on demand.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const FaultPlan plan = random_fault_plan(5, 0, seed);
+    const ParseResult pr = parse_fault_plan(reported_plan(plan));
+    ASSERT_TRUE(pr.ok()) << pr.error;
+    EXPECT_TRUE(structurally_equal(pr.plan, plan)) << "seed " << seed;
+  }
+
+  // A parsed plan reports the text it was parsed from, comments and all.
+  const std::string text =
+      "# hand-written\ncrash 1 @2  # a follower\nrecover 1 @4\n"
+      "drop 2->0 @3..5 p=0.5\ngsr @6\n";
+  const ParseResult parent = parse_fault_plan(text);
+  ASSERT_TRUE(parent.ok()) << parent.error;
+  ASSERT_EQ(validate(parent.plan, 5, 0), "");
+  EXPECT_EQ(reported_plan(parent.plan), text);
+
+  // An edited child of that parsed plan reports its own plan, never the
+  // parent's text.
+  adversary::MutationConfig mcfg;
+  mcfg.n = 5;
+  mcfg.leader = 0;
+  mcfg.mutate_links = false;  // every edit changes the plan itself
+  Rng rng(3);
+  adversary::Candidate c;
+  c.plan = parent.plan;
+  const adversary::Candidate child = adversary::mutate(c, mcfg, rng);
+  ASSERT_FALSE(structurally_equal(child.plan, parent.plan));
+  const std::string child_text = reported_plan(child.plan);
+  EXPECT_EQ(child_text.find("hand-written"), std::string::npos) << child_text;
+  const ParseResult back = parse_fault_plan(child_text);
+  ASSERT_TRUE(back.ok()) << back.error;
+  EXPECT_TRUE(structurally_equal(back.plan, child.plan)) << child_text;
 }
 
 std::string chaos_traces_serialized(int trials) {
