@@ -50,7 +50,7 @@ int main() {
     sched.gsr = 1 + static_cast<Round>(rng.uniform_int(10));
     sched.pre_gsr_p = 0.3;
     sched.seed = rng.next();
-    SlotEnv env;
+    InstanceEnv env;
     if (slot >= 5) {
       env.crash_rounds.assign(kN, 0);
       env.crash_rounds[kCrashed] = 1;

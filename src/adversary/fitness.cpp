@@ -79,16 +79,10 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
 
   // Processes the plan crashes for good are not correct; liveness (and
   // hence decision delay) is not owed to them.
-  std::vector<bool> dead(static_cast<std::size_t>(cfg.n), false);
-  for (const fault::FaultEvent& e : candidate.plan.events) {
-    if (e.kind == fault::FaultKind::kCrash) {
-      dead[static_cast<std::size_t>(e.proc)] = true;
-    } else if (e.kind == fault::FaultKind::kRecover) {
-      dead[static_cast<std::size_t>(e.proc)] = false;
-    }
-  }
-  int correct = 0;
-  for (bool d : dead) correct += d ? 0 : 1;
+  const std::vector<Round> crashes =
+      fault::crash_rounds(candidate.plan, cfg.n);
+  const int correct =
+      static_cast<int>(std::count(crashes.begin(), crashes.end(), 0));
   TM_CHECK(correct >= 1, "validate() guarantees a correct majority");
 
   Fitness f;
@@ -144,7 +138,7 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
       if (slot < 0) slot = e.round;
     }
     for (ProcessId p = 0; p < cfg.n; ++p) {
-      if (dead[static_cast<std::size_t>(p)]) continue;
+      if (crashes[static_cast<std::size_t>(p)] > 0) continue;
       const Round d = decided_at[static_cast<std::size_t>(p)];
       delay_sum += static_cast<double>((d >= 0 ? d : tc.max_rounds) - gsr);
     }

@@ -274,18 +274,7 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
   // Permanent (never-recovered) crashes stop the process itself, not
   // just its links: the engine halts it and the post-gsr schedule repair
   // draws its forced majorities from survivors.
-  std::vector<Round> crash_rounds(static_cast<std::size_t>(n), 0);
-  {
-    std::vector<Round> open(static_cast<std::size_t>(n), 0);
-    for (const FaultEvent& e : cfg.plan.events) {
-      if (e.kind == FaultKind::kCrash) {
-        open[static_cast<std::size_t>(e.proc)] = e.from;
-      } else if (e.kind == FaultKind::kRecover) {
-        open[static_cast<std::size_t>(e.proc)] = 0;
-      }
-    }
-    crash_rounds = open;
-  }
+  const std::vector<Round> crashes = crash_rounds(cfg.plan, n);
 
   auto protocols = make_group(kind, proposals);
   auto oracle = std::make_shared<UnstableOracle>(
@@ -297,13 +286,13 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
 
   bool any_permanent = false;
   for (ProcessId i = 0; i < n; ++i) {
-    const Round r = crash_rounds[static_cast<std::size_t>(i)];
+    const Round r = crashes[static_cast<std::size_t>(i)];
     if (r > 0) {
       engine.crash_at(i, r);
       any_permanent = true;
     }
   }
-  if (any_permanent) sched.crash_rounds = crash_rounds;
+  if (any_permanent) sched.crash_rounds = crashes;
 
   ScheduleSampler sampler(sched);
   InjectorConfig icfg;
@@ -370,7 +359,7 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
     std::vector<bool> alive_mask(static_cast<std::size_t>(n));
     for (ProcessId i = 0; i < n; ++i) {
       alive_mask[static_cast<std::size_t>(i)] =
-          crash_rounds[static_cast<std::size_t>(i)] <= 0;
+          crashes[static_cast<std::size_t>(i)] <= 0;
     }
     out.liveness_enforced = granular_supports(native_model(kind), cfg.leader,
                                               cfg.link_models, alive_mask);

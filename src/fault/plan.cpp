@@ -219,6 +219,18 @@ std::string validate(const FaultPlan& plan, int n, ProcessId leader) {
   return "";
 }
 
+std::vector<Round> crash_rounds(const FaultPlan& plan, int n) {
+  std::vector<Round> at(static_cast<std::size_t>(n), 0);
+  for (const FaultEvent& e : plan.events) {
+    if (e.kind == FaultKind::kCrash) {
+      at[static_cast<std::size_t>(e.proc)] = e.from;
+    } else if (e.kind == FaultKind::kRecover) {
+      at[static_cast<std::size_t>(e.proc)] = 0;
+    }
+  }
+  return at;
+}
+
 std::string timeline(const FaultPlan& plan) {
   std::vector<std::size_t> order(plan.events.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;

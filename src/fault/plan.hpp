@@ -105,6 +105,12 @@ struct FaultPlan {
 std::string validate(const FaultPlan& plan, int n,
                      ProcessId leader = kNoProcess);
 
+/// The plan's crash schedule, one entry per process: the round of its
+/// last crash, or 0 when it never crashes or recovers after that crash.
+/// A recovered process counts as never crashed, so the entries are what
+/// RoundEngine::crash_at and ScheduleConfig::crash_rounds take.
+std::vector<Round> crash_rounds(const FaultPlan& plan, int n);
+
 /// Smallest group size the plan's process ids fit in (max id + 1, at
 /// least 2); lets callers validate a bare plan file before a scenario
 /// binds it to a concrete n.

@@ -16,6 +16,7 @@
 // engine, injector or protocols and fails the gate.
 #include <algorithm>
 #include <iostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -191,9 +192,13 @@ int run_adversary_search(const ScenarioSpec& spec, const RunContext& ctx) {
            << " seed=" << cfg.eval.eval_seed << "\n";
 
   if (!spec.archive.empty()) {
+    // Two elites can shrink to the same minimized adversary: archive and
+    // report each distinct entry once.
+    std::set<std::string> archived;
     for (const Winner& w : winners) {
       const adversary::ArchiveEntry entry = adversary::make_archive_entry(
           w.shrunk.candidate, w.shrunk.fitness, cfg.eval);
+      if (!archived.insert(adversary::entry_stem(entry)).second) continue;
       std::string path;
       const std::string err =
           adversary::write_archive_entry(spec.archive, entry, &path);

@@ -61,22 +61,6 @@ class ChaosInstanceSampler final : public TimelinessSampler {
   fault::FaultInjectedSampler injected_;
 };
 
-/// Crash round per process (0 = never) from a plan's crash/recover
-/// events: a process that recovers before the instance ends is treated
-/// as never-crashed for the schedule's correct-majority bookkeeping,
-/// exactly as fault/chaos.cpp does.
-std::vector<Round> crash_rounds_of(const fault::FaultPlan& plan, int n) {
-  std::vector<Round> open(static_cast<std::size_t>(n), 0);
-  for (const fault::FaultEvent& e : plan.events) {
-    if (e.kind == fault::FaultKind::kCrash) {
-      open[static_cast<std::size_t>(e.proc)] = e.from;
-    } else if (e.kind == fault::FaultKind::kRecover) {
-      open[static_cast<std::size_t>(e.proc)] = 0;
-    }
-  }
-  return open;
-}
-
 struct Trial {
   bool linearizable = true;
   bool consistent = true;
@@ -169,7 +153,7 @@ int run_smr_linearizable(const ScenarioSpec& spec, const RunContext& ctx) {
             scfg.gsr = plan.gsr;
             scfg.pre_gsr_p = spec.iid_p;
             scfg.seed = substream_seed(inst_seed, 1);
-            scfg.crash_rounds = crash_rounds_of(plan, n);
+            scfg.crash_rounds = fault::crash_rounds(plan, n);
             fault::InjectorConfig icfg;
             icfg.n = n;
             icfg.leader = leader;
@@ -213,24 +197,18 @@ int run_smr_linearizable(const ScenarioSpec& spec, const RunContext& ctx) {
           bool probe_phase = false;
           pcfg.on_probe_start = [&] { probe_phase = true; };
           const SlotEnvFactory slot_env_of = [&](int slot, int attempt) {
-            InstanceEnv env =
-                probe_phase
-                    ? make_env(0, true,
-                               1000 +
-                                   16 * static_cast<std::uint64_t>(slot) +
-                                   static_cast<std::uint64_t>(attempt))
-                    : make_env(
-                          substream_seed(
-                              substream_seed(
-                                  trial_seed,
-                                  100 + static_cast<std::uint64_t>(slot)),
-                              static_cast<std::uint64_t>(attempt)),
-                          false, 0);
-            SlotEnv out;
-            out.sampler = std::move(env.sampler);
-            out.crash_rounds = std::move(env.crash_rounds);
-            out.max_rounds = env.max_rounds;
-            return out;
+            return probe_phase
+                       ? make_env(0, true,
+                                  1000 +
+                                      16 * static_cast<std::uint64_t>(slot) +
+                                      static_cast<std::uint64_t>(attempt))
+                       : make_env(
+                             substream_seed(
+                                 substream_seed(
+                                     trial_seed,
+                                     100 + static_cast<std::uint64_t>(slot)),
+                                 static_cast<std::uint64_t>(attempt)),
+                             false, 0);
           };
           rep = run_pipelined_smr_clients(ccfg, pcfg, slot_env_of);
         } else {

@@ -132,6 +132,8 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
     }
     fixed = pr.plan;
   }
+  const std::vector<Round> fixed_crashes =
+      fault::crash_rounds(fixed, spec.n);
   const int bound = fault::bound_after_gsr(spec.algorithm);
 
   const TraceConfig trace = TraceConfig::from_env();
@@ -168,22 +170,12 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
                 trial_seed, 100 + static_cast<std::uint64_t>(slot));
             const std::uint64_t attempt_seed = substream_seed(
                 slot_seed, static_cast<std::uint64_t>(attempt));
-            SlotEnv env;
+            InstanceEnv env;
             env.sampler = std::make_unique<LoadSlotSampler>(
                 spec, timeout_ms, substream_seed(attempt_seed, 1),
                 have_fixed ? &fixed : nullptr,
                 substream_seed(attempt_seed, 2), leader);
-            if (have_fixed) {
-              env.crash_rounds.assign(static_cast<std::size_t>(spec.n), 0);
-              for (const fault::FaultEvent& e : fixed.events) {
-                if (e.kind == fault::FaultKind::kCrash) {
-                  env.crash_rounds[static_cast<std::size_t>(e.proc)] =
-                      e.from;
-                } else if (e.kind == fault::FaultKind::kRecover) {
-                  env.crash_rounds[static_cast<std::size_t>(e.proc)] = 0;
-                }
-              }
-            }
+            if (have_fixed) env.crash_rounds = fixed_crashes;
             return env;
           };
           ReplicatedLog rlog(lcfg, std::move(machines), env_of);

@@ -55,6 +55,11 @@ struct ClientState {
   long long t_op = 0;      ///< op-span begin reading (timed tracer)
   long long t_queue = 0;   ///< queue-span begin reading
   long long submit_tick = 0;  ///< pipelined harness: tick of submission
+
+  void close() {  ///< the current op completed
+    busy = false;
+    ++ops_done;
+  }
 };
 
 /// Nonzero even 16-bit value — the update-value domain of the harness.
@@ -113,27 +118,82 @@ void choose_op(Rng& rng, ClientState& cs, ProcessId c, int total_keys,
   cs.cmd = make_register_command(cs.func, cs.rid, c, cs.key, a16, b16);
 }
 
-}  // namespace
+// Fixed phases of the two harnesses.
+constexpr int kOpTimeoutInstances = 3;  ///< serialized: open instances -> info
+constexpr int kProbeAttempts = 4;       ///< tries per probe read
+constexpr int kPipelineTicks = 24;      ///< pipelined: submission ticks
+constexpr int kOpTimeoutTicks = 40;     ///< pipelined: open ticks -> info
+constexpr int kDrainTicks = 2000;       ///< pipelined: tick budget per drain
 
-SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
-                                const InstanceEnvFactory& env_of) {
+/// Checks the config both harnesses share; returns the key count.
+int checked_total_keys(const SmrClientConfig& cfg) {
   const int total_keys = cfg.reg_keys + cfg.append_keys;
   TM_CHECK(cfg.n > 1, "replication needs n > 1");
   TM_CHECK(cfg.clients > 0, "need at least one client");
   TM_CHECK(total_keys > 0, "need at least one key");
   TM_CHECK(cfg.clients + total_keys <= 255 && total_keys <= 255,
            "client/key ids must fit the register command encoding");
-  TM_CHECK(cfg.instances > 0 && cfg.op_timeout_instances > 0, "bad phases");
+  return total_keys;
+}
+
+std::vector<std::unique_ptr<StateMachine>> register_machines(int n) {
+  std::vector<std::unique_ptr<StateMachine>> machines;
+  for (int i = 0; i < n; ++i) {
+    machines.push_back(std::make_unique<RegisterStateMachine>());
+  }
+  return machines;
+}
+
+/// A replica that applied the commit `applied` marks (hence the whole log
+/// prefix up to it).
+const RegisterStateMachine& applier(const SmrCore& core,
+                                    const std::vector<bool>& applied) {
+  for (std::size_t i = 0; i < applied.size(); ++i) {
+    if (applied[i]) {
+      return static_cast<const RegisterStateMachine&>(
+          core.machine(static_cast<ProcessId>(i)));
+    }
+  }
+  TM_CHECK(false, "commit with no live applier");
+  return static_cast<const RegisterStateMachine&>(core.machine(0));
+}
+
+/// kStaleRead: the first probe read that would observe a committed
+/// update reports kRegInitial instead, missing every committed update.
+Value probe_result(const SmrClientConfig& cfg, bool& stale_done,
+                   Value result) {
+  if (cfg.corrupt != CorruptMode::kStaleRead || stale_done ||
+      result == kRegInitial) {
+    return result;
+  }
+  stale_done = true;
+  return kRegInitial;
+}
+
+/// Fingerprint agreement among the replicas that applied the last commit,
+/// and each key's final value read from one of them (every replica is
+/// still initial, and all agree, before anything commits).
+void read_final_state(const SmrCore& core, int total_keys,
+                      SmrClientReport& rep) {
+  rep.consistent = core.consistent_among(core.last_appliers());
+  const RegisterStateMachine& m = applier(core, core.last_appliers());
+  for (std::int32_t k = 0; k < total_keys; ++k) {
+    rep.final_values.push_back(m.value(k));
+  }
+}
+
+}  // namespace
+
+SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
+                                const InstanceEnvFactory& env_of) {
+  const int total_keys = checked_total_keys(cfg);
+  TM_CHECK(cfg.instances > 0, "bad phases");
 
   SmrGroupConfig gcfg;
   gcfg.n = cfg.n;
   gcfg.algorithm = cfg.algorithm;
   gcfg.leader = cfg.leader;
-  std::vector<std::unique_ptr<StateMachine>> machines;
-  for (int i = 0; i < cfg.n; ++i) {
-    machines.push_back(std::make_unique<RegisterStateMachine>());
-  }
-  SmrGroup group(gcfg, std::move(machines));
+  SmrGroup group(gcfg, register_machines(cfg.n));
 
   SpanTracer* spans = cfg.spans;
   const bool sp_on = spans != nullptr && spans->enabled();
@@ -145,37 +205,18 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
   HistoryRecorder rec;
   SmrClientReport rep;
   std::vector<ClientState> clients(static_cast<std::size_t>(cfg.clients));
-  std::vector<bool> last_applied;
   bool stale_done = false;
   bool lost_done = false;
-  int env_index = 0;
 
   auto run_one = [&](const std::vector<Command>& proposals) {
-    InstanceEnv env = env_of(env_index++);
+    InstanceEnv env = env_of(rep.instances_run++);
     TM_CHECK(env.sampler != nullptr, "instance env needs a sampler");
-    ++rep.instances_run;
     const std::vector<Round>* crashes =
         env.crash_rounds.empty() ? nullptr : &env.crash_rounds;
-    SmrInstanceResult r =
-        group.run_instance(proposals, *env.sampler, crashes, env.max_rounds);
-    if (r.decided) {
-      ++rep.instances_decided;
-      last_applied = r.applied;
-    }
-    return r;
+    return group.run_instance(proposals, *env.sampler, crashes,
+                              env.max_rounds);
   };
-
-  // A replica that applied this instance's command (hence the whole log).
-  auto observer =
-      [&](const std::vector<bool>& applied) -> const RegisterStateMachine& {
-    for (int i = 0; i < cfg.n; ++i) {
-      if (applied[static_cast<std::size_t>(i)]) {
-        return static_cast<const RegisterStateMachine&>(group.machine(i));
-      }
-    }
-    TM_CHECK(false, "decided instance with no live applier");
-    return static_cast<const RegisterStateMachine&>(group.machine(0));
-  };
+  const SmrCore& core = group.core();
 
   auto start_op = [&](ProcessId c) {
     ClientState& cs = clients[static_cast<std::size_t>(c)];
@@ -247,12 +288,6 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
     }
   };
 
-  auto close_op = [&](ProcessId c) {
-    ClientState& cs = clients[static_cast<std::size_t>(c)];
-    cs.busy = false;
-    ++cs.ops_done;
-  };
-
   // ------------------------------------------------------- main phase --
   for (int inst = 0; inst < cfg.instances; ++inst) {
     for (ProcessId c = 0; c < cfg.clients; ++c) {
@@ -322,12 +357,12 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
         TM_CHECK(ws.busy && ws.cmd == r.command,
                  "decided command must be a proposed client op");
         Value result = kNoValue;
-        TM_CHECK(observer(r.applied).last_result(wc, result),
+        TM_CHECK(applier(core, r.applied).last_result(wc, result),
                  "winner must have a session result");
         rec.ok(wc, result);
         ++rep.ops_ok;
         end_op_spans(wc, true);
-        close_op(wc);
+        ws.close();
       }
       if (sabotaged_this_instance) {
         // Acknowledge the sabotaged append even though a noop went out
@@ -339,45 +374,44 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
           ClientState& cs = clients[static_cast<std::size_t>(c)];
           if (!cs.busy || !cs.sabotaged) continue;
           const Value fabricated =
-              register_step(observer(r.applied).value(cs.key), cs.func,
+              register_step(applier(core, r.applied).value(cs.key), cs.func,
                             cs.a, cs.b)
                   .result;
           rec.ok(c, fabricated);
           ++rep.ops_ok;
           lost_done = true;
           end_op_spans(c, true);
-          close_op(c);
+          cs.close();
           break;
         }
       }
       // Everyone else who was proposed into this decided instance lost:
       // their command is provably never applied in this harness.
       for (ProcessId c : proposed) {
-        if (!clients[static_cast<std::size_t>(c)].busy) continue;
+        ClientState& cs = clients[static_cast<std::size_t>(c)];
+        if (!cs.busy) continue;
         rec.fail(c);
         ++rep.ops_fail;
         end_op_spans(c, false);
-        close_op(c);
+        cs.close();
       }
     } else {
       // Undecided instance: close stragglers as info (timeout — unknown
       // whether a future quorum saw the command, so not a fail).
       for (ProcessId c = 0; c < cfg.clients; ++c) {
         ClientState& cs = clients[static_cast<std::size_t>(c)];
-        if (!cs.busy || cs.open_instances < cfg.op_timeout_instances) {
+        if (!cs.busy || cs.open_instances < kOpTimeoutInstances) {
           continue;
         }
         rec.info(c);
         ++rep.ops_info;
         end_op_spans(c, false);
-        close_op(c);
+        cs.close();
       }
     }
   }
   // Ops still open when the trial ends stay uncompleted (info).
-  for (ProcessId c = 0; c < cfg.clients; ++c) {
-    if (clients[static_cast<std::size_t>(c)].busy) ++rep.ops_info;
-  }
+  for (const ClientState& cs : clients) rep.ops_info += cs.busy ? 1 : 0;
 
   // ------------------------------------------------------ probe phase --
   // Fresh clients read every key over fault-free instances, anchoring
@@ -400,7 +434,7 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
       p_tq0 = spans->begin(p_queue, p_op, span_kind::kQueue);
     }
     bool done = false;
-    for (int attempt = 0; attempt < cfg.probe_attempts && !done; ++attempt) {
+    for (int attempt = 0; attempt < kProbeAttempts && !done; ++attempt) {
       std::vector<Command> proposals(static_cast<std::size_t>(cfg.n),
                                      kNoopCommand);
       proposals[static_cast<std::size_t>(pc % cfg.n)] = cmd;
@@ -422,14 +456,9 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
       }
       if (!r.decided || r.command != cmd) continue;
       Value result = kNoValue;
-      TM_CHECK(observer(r.applied).last_result(pc, result),
+      TM_CHECK(applier(core, r.applied).last_result(pc, result),
                "probe must have a session result");
-      if (cfg.corrupt == CorruptMode::kStaleRead && !stale_done &&
-          result != kRegInitial) {
-        result = kRegInitial;  // report none of the committed updates
-        stale_done = true;
-      }
-      rec.ok(pc, result);
+      rec.ok(pc, probe_result(cfg, stale_done, result));
       ++rep.ops_ok;
       if (sp_on) {
         spans->end(p_commit, span_kind::kCommit);
@@ -444,29 +473,15 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
   }
 
   rep.events = rec.events();
-  if (!last_applied.empty()) {
-    rep.consistent = group.consistent_among(last_applied);
-    const RegisterStateMachine& m = observer(last_applied);
-    for (std::int32_t k = 0; k < total_keys; ++k) {
-      rep.final_values.push_back(m.value(k));
-    }
-  } else {
-    rep.final_values.assign(static_cast<std::size_t>(total_keys),
-                            kRegInitial);
-  }
+  rep.instances_decided = group.instances_decided();
+  read_final_state(core, total_keys, rep);
   return rep;
 }
 
 SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
                                           const SmrPipelineConfig& pcfg,
                                           const SlotEnvFactory& env_of) {
-  const int total_keys = cfg.reg_keys + cfg.append_keys;
-  TM_CHECK(cfg.n > 1, "replication needs n > 1");
-  TM_CHECK(cfg.clients > 0, "need at least one client");
-  TM_CHECK(total_keys > 0, "need at least one key");
-  TM_CHECK(cfg.clients + total_keys <= 255 && total_keys <= 255,
-           "client/key ids must fit the register command encoding");
-  TM_CHECK(pcfg.ticks > 0 && pcfg.op_timeout_ticks > 0, "bad phases");
+  const int total_keys = checked_total_keys(cfg);
 
   ReplicatedLogConfig lcfg;
   lcfg.n = cfg.n;
@@ -474,14 +489,8 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
   lcfg.leader = cfg.leader;
   lcfg.pipeline = pcfg.pipeline;
   lcfg.batch = pcfg.batch;
-  lcfg.flush_ticks = pcfg.flush_ticks;
-  lcfg.max_attempts_per_slot = pcfg.max_attempts_per_slot;
   lcfg.spans = cfg.spans;
-  std::vector<std::unique_ptr<StateMachine>> machines;
-  for (int i = 0; i < cfg.n; ++i) {
-    machines.push_back(std::make_unique<RegisterStateMachine>());
-  }
-  ReplicatedLog rlog(lcfg, std::move(machines), env_of);
+  ReplicatedLog rlog(lcfg, register_machines(cfg.n), env_of);
 
   SpanTracer* spans = cfg.spans;
   const bool sp_on = spans != nullptr && spans->enabled();
@@ -494,18 +503,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
   std::vector<ClientState> clients(static_cast<std::size_t>(cfg.clients));
   bool stale_done = false;
   ProcessId lost_client = kNoProcess;  ///< client whose append went out as noop
-
-  // A replica that applied this slot (hence the whole log prefix).
-  auto observer =
-      [&](const std::vector<bool>& applied) -> const RegisterStateMachine& {
-    for (int i = 0; i < cfg.n; ++i) {
-      if (applied[static_cast<std::size_t>(i)]) {
-        return static_cast<const RegisterStateMachine&>(rlog.machine(i));
-      }
-    }
-    TM_CHECK(false, "committed slot with no live applier");
-    return static_cast<const RegisterStateMachine&>(rlog.machine(0));
-  };
+  const SmrCore& core = rlog.core();
 
   auto end_op_spans = [&](ProcessId c, bool committed_ok) {
     if (!sp_on) return;
@@ -521,12 +519,6 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
     if (committed_ok && record_lat) {
       cfg.metrics->latency("op.commit_ns").record(t - cs.t_op);
     }
-  };
-
-  auto close_op = [&](ProcessId c) {
-    ClientState& cs = clients[static_cast<std::size_t>(c)];
-    cs.busy = false;
-    ++cs.ops_done;
   };
 
   // Invoke + submit in one step: the op enters the open batch the same
@@ -587,14 +579,9 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
     if (!ps.open) return;
     ps.open = false;
     Value result = kNoValue;
-    TM_CHECK(observer(applied).last_result(pc, result),
+    TM_CHECK(applier(core, applied).last_result(pc, result),
              "probe must have a session result");
-    if (cfg.corrupt == CorruptMode::kStaleRead && !stale_done &&
-        result != kRegInitial) {
-      result = kRegInitial;  // report none of the committed updates
-      stale_done = true;
-    }
-    rec.ok(pc, result);
+    rec.ok(pc, probe_result(cfg, stale_done, result));
     ++rep.ops_ok;
     ps.done = true;
     if (sp_on) {
@@ -643,7 +630,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
           rec.fail(c);
           ++rep.ops_fail;
           end_op_spans(c, false);
-          close_op(c);
+          cs.close();
           continue;
         }
         if (sp_on) {
@@ -655,17 +642,17 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
         Value result = kNoValue;
         if (is_lost) {
           // Fabricate the result the append WOULD have produced.
-          result = register_step(observer(sr.applied).value(cs.key),
+          result = register_step(applier(core, sr.applied).value(cs.key),
                                  cs.func, cs.a, cs.b)
                        .result;
         } else {
-          TM_CHECK(observer(sr.applied).last_result(c, result),
+          TM_CHECK(applier(core, sr.applied).last_result(c, result),
                    "committed op must have a session result");
         }
         rec.ok(c, result);
         ++rep.ops_ok;
         end_op_spans(c, true);
-        close_op(c);
+        cs.close();
       }
     }
   };
@@ -673,8 +660,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
   auto timeout_scan = [&]() {
     for (ProcessId c = 0; c < cfg.clients; ++c) {
       ClientState& cs = clients[static_cast<std::size_t>(c)];
-      if (!cs.busy ||
-          rlog.now() - cs.submit_tick < pcfg.op_timeout_ticks) {
+      if (!cs.busy || rlog.now() - cs.submit_tick < kOpTimeoutTicks) {
         continue;
       }
       // The command stays in its batch and may commit later; info keeps
@@ -682,12 +668,12 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
       rec.info(c);
       ++rep.ops_info;
       end_op_spans(c, false);
-      close_op(c);
+      cs.close();
     }
   };
 
   // ------------------------------------------------------- main phase --
-  for (int t = 0; t < pcfg.ticks; ++t) {
+  for (int t = 0; t < kPipelineTicks; ++t) {
     for (ProcessId c = 0; c < cfg.clients; ++c) {
       if (!clients[static_cast<std::size_t>(c)].busy) start_and_submit(c);
     }
@@ -697,25 +683,23 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
   }
   // Drain: no new submissions; every accepted command resolves (commit
   // or abandonment) within the attempt budget.
-  for (int t = 0; t < pcfg.drain_ticks && !rlog.drained(); ++t) {
+  for (int t = 0; t < kDrainTicks && !rlog.drained(); ++t) {
     rlog.tick();
     handle_committed();
     timeout_scan();
   }
-  for (ProcessId c = 0; c < cfg.clients; ++c) {
-    if (clients[static_cast<std::size_t>(c)].busy) ++rep.ops_info;
-  }
+  for (const ClientState& cs : clients) rep.ops_info += cs.busy ? 1 : 0;
 
   // ------------------------------------------------------ probe phase --
   // Fresh clients read every key. Every main-phase slot has resolved
   // (the drain loop above), so pcfg.on_probe_start can flip the env
   // factory to fault-free environments for all probe slots.
   if (pcfg.on_probe_start) pcfg.on_probe_start();
-  for (int attempt = 0; attempt < cfg.probe_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
     bool any = false;
     for (std::int32_t k = 0; k < total_keys; ++k) {
       ProbeState& ps = probes[static_cast<std::size_t>(k)];
-      if (ps.done || ps.open || ps.attempts >= cfg.probe_attempts) continue;
+      if (ps.done || ps.open || ps.attempts >= kProbeAttempts) continue;
       const ProcessId pc = cfg.clients + k;
       const Command cmd =
           make_register_command(op_func::kRead, 1, pc, k, 0, 0);
@@ -740,7 +724,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
       rlog.submit(cmd, op_span);
     }
     if (!any) break;
-    for (int t = 0; t < pcfg.drain_ticks && !rlog.drained(); ++t) {
+    for (int t = 0; t < kDrainTicks && !rlog.drained(); ++t) {
       rlog.tick();
       handle_committed();
     }
@@ -750,17 +734,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
   }
 
   rep.events = rec.events();
-  const std::vector<bool> alive = rlog.alive_at_end();
-  rep.consistent = rlog.consistent_among(alive);
-  if (rlog.slots_committed() > 0) {
-    const RegisterStateMachine& m = observer(alive);
-    for (std::int32_t k = 0; k < total_keys; ++k) {
-      rep.final_values.push_back(m.value(k));
-    }
-  } else {
-    rep.final_values.assign(static_cast<std::size_t>(total_keys),
-                            kRegInitial);
-  }
+  read_final_state(core, total_keys, rep);
   return rep;
 }
 

@@ -10,25 +10,22 @@
 //           In this closed-world harness a losing command is provably
 //           never applied (only decided commands are applied, and the
 //           client never re-proposes a completed op), so `fail` is sound.
-//  * info — the op timed out (its instances never decided) or was still
-//           open when the trial ended; it may or may not have taken
-//           effect as far as the client knows, so the checker treats it
-//           as concurrent forever.
+//  * info — the op timed out (it stayed open across 3 instances and the
+//           last one never decided) or was still open when the trial
+//           ended; it may or may not have taken effect as far as the
+//           client knows, so the checker treats it as concurrent forever.
 //
 // After the main (fault-injected) phase, fresh probe clients read every
-// key over fault-free instances, anchoring the final state in the
-// history — this is what makes lost updates on append keys visible.
+// key over fault-free instances (up to 4 tries each), anchoring the final
+// state in the history — this is what makes lost updates on append keys
+// visible.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "consensus/factory.hpp"
-#include "obs/span.hpp"
 #include "obs/trace_event.hpp"
-#include "sim/sampler.hpp"
 #include "smr/replicated_log.hpp"
 
 namespace timing {
@@ -59,10 +56,6 @@ struct SmrClientConfig {
   int reg_keys = 2;     ///< keys 0..reg_keys-1: read/write/cas registers
   int append_keys = 1;  ///< keys reg_keys..: read/append hash-chain keys
   int instances = 8;    ///< main-phase consensus instances
-  /// Instances an op may sit open across before it is closed as info.
-  int op_timeout_instances = 3;
-  /// Fault-free instances each probe read may retry across.
-  int probe_attempts = 4;
   std::uint64_t seed = 1;
   CorruptMode corrupt = CorruptMode::kNone;
   /// Optional span tracer (not owned). Every op becomes an `op` span
@@ -79,19 +72,9 @@ struct SmrClientConfig {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// Network environment for one consensus instance. The factory keeps the
-/// harness free of any fault/model dependency: the caller decides what
-/// the network does (random_fault_plan injection for the chaos gate,
-/// fault-free samplers for the probe phase).
-struct InstanceEnv {
-  std::unique_ptr<TimelinessSampler> sampler;
-  std::vector<Round> crash_rounds;  ///< empty = no crashes
-  int max_rounds = -1;              ///< -1 = the group default
-};
-
 /// Called with the running instance index: 0..cfg.instances-1 are the
 /// main phase; every index >= cfg.instances is a probe-phase instance
-/// and should be fault-free.
+/// and should be fault-free. (InstanceEnv lives in smr/core.hpp.)
 using InstanceEnvFactory = std::function<InstanceEnv(int index)>;
 
 struct SmrClientReport {
@@ -113,13 +96,17 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
 
 /// Pipelined/batched variant of the harness: the same closed-loop
 /// clients and op mix, driven through a ReplicatedLog instead of one
-/// serialized instance at a time. Instances overlap and ops batch, so
-/// the completion semantics shift slightly:
+/// serialized instance at a time — 24 submission ticks, then a drain of
+/// at most 2000 ticks, at the log's default flush deadline and attempt
+/// budget. Instances overlap and ops batch, so the completion semantics
+/// shift slightly:
 ///  * ok   — the op's slot committed; the result is read back from a
 ///           replica that applied it (session-deduplicated).
 ///  * fail — the op's slot was abandoned after max_attempts_per_slot;
 ///           abandoned slots are never applied, so fail stays sound.
-///  * info — the op out-waited op_timeout_ticks, or was still open when
+///           Every replica proposes the slot's decree, so unlike the
+///           serialized harness no op fails by losing a decision.
+///  * info — the op stayed open for 40 ticks, or was still open when
 ///           the trial ended. Its slot MAY still commit afterwards (the
 ///           batch already holds the command), which is exactly the
 ///           "unknown, concurrent forever" reading the checker gives
@@ -127,11 +114,6 @@ SmrClientReport run_smr_clients(const SmrClientConfig& cfg,
 struct SmrPipelineConfig {
   int pipeline = 8;
   int batch = 4;
-  int flush_ticks = 2;            ///< seal a waiting batch after this
-  int ticks = 24;                 ///< main-phase submission ticks
-  int op_timeout_ticks = 40;      ///< open ticks before an op goes info
-  int max_attempts_per_slot = 8;
-  int drain_ticks = 2000;  ///< tick budget after submission stops
   /// Invoked once, after the main phase fully drains and before the
   /// probe reads are submitted. The caller's SlotEnvFactory sees only
   /// (slot, attempt); this hook lets its closure flip to fault-free

@@ -1,10 +1,13 @@
 #include "smr/replicated_log.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
-#include "oracles/omega.hpp"
-#include "smr/smr.hpp"
 
 namespace timing {
+
+/// The log runs every instance under the designated leader's oracle.
+constexpr bool kLogElects = false;
 
 Value slot_decree(int slot) noexcept {
   // Bit 61 keeps the decree positive, clear of the sign bit and of the
@@ -15,17 +18,16 @@ Value slot_decree(int slot) noexcept {
   return (Value{1} << 61) + slot;
 }
 
-/// One in-flight slot: its batch record, the current attempt's engine +
-/// environment, and the span bookkeeping that survives across attempts.
+/// One in-flight slot: its batch record, the current attempt's instance
+/// + environment, and the span bookkeeping that survives across attempts.
 struct ReplicatedLog::Flight {
   SlotRecord rec;
   int attempt = 0;  ///< 0-based attempt index
   std::unique_ptr<TimelinessSampler> sampler;
-  std::unique_ptr<RoundEngine> engine;
+  std::optional<SmrInstance> inst;  ///< the current attempt
   int max_rounds = 0;
   bool decided = false;
   std::uint64_t slot_span = 0;
-  std::uint64_t inst_span = 0;  ///< current attempt's instance span
   PackedLinkMatrix fates;
 };
 
@@ -33,18 +35,14 @@ ReplicatedLog::ReplicatedLog(
     ReplicatedLogConfig cfg,
     std::vector<std::unique_ptr<StateMachine>> machines,
     SlotEnvFactory env_of)
-    : cfg_(cfg), machines_(std::move(machines)), env_of_(std::move(env_of)) {
-  TM_CHECK(static_cast<int>(machines_.size()) == cfg_.n,
-           "one state machine per replica");
-  TM_CHECK(cfg_.n > 1, "replication needs n > 1");
-  for (const auto& m : machines_) TM_CHECK(m != nullptr, "null machine");
+    : cfg_(cfg),
+      core_(cfg.n, cfg.algorithm, cfg.leader, kLogElects, std::move(machines)),
+      env_of_(std::move(env_of)) {
   TM_CHECK(cfg_.pipeline >= 1, "pipeline must be >= 1");
   TM_CHECK(cfg_.batch >= 1, "batch must be >= 1");
   TM_CHECK(cfg_.flush_ticks >= 1, "flush_ticks must be >= 1");
   TM_CHECK(cfg_.max_attempts_per_slot >= 1, "need at least one attempt");
   TM_CHECK(env_of_ != nullptr, "slot env factory required");
-  applied_.assign(machines_.size(), 0);
-  last_applied_.assign(machines_.size(), true);
 }
 
 ReplicatedLog::~ReplicatedLog() = default;
@@ -97,7 +95,7 @@ void ReplicatedLog::seal_open_batch() {
 }
 
 void ReplicatedLog::start_attempt(Flight& f) {
-  SlotEnv env = env_of_(f.rec.slot, f.attempt);
+  InstanceEnv env = env_of_(f.rec.slot, f.attempt);
   TM_CHECK(env.sampler != nullptr, "slot env needs a sampler");
   TM_CHECK(env.sampler->n() == cfg_.n, "slot env sampler n mismatch");
   f.sampler = std::move(env.sampler);
@@ -106,36 +104,10 @@ void ReplicatedLog::start_attempt(Flight& f) {
   // Pre-size the fate matrix: not every sampler's packed overload
   // auto-resizes (the latency testbeds write into the given shape).
   if (f.fates.n() != cfg_.n) f.fates = PackedLinkMatrix(cfg_.n);
-
   const Value decree = slot_decree(f.rec.slot);
-  std::vector<std::unique_ptr<Protocol>> group;
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    group.push_back(make_smr_protocol(cfg_.algorithm, i, cfg_.n, decree,
-                                      cfg_.use_election));
-  }
-  std::shared_ptr<Oracle> oracle;
-  if (!cfg_.use_election) {
-    oracle = std::make_shared<DesignatedOracle>(cfg_.leader);
-  }
-  f.engine = std::make_unique<RoundEngine>(std::move(group), oracle);
-
-  const int ordinal = instances_run_++;
-  const bool sp_on = cfg_.spans != nullptr && cfg_.spans->enabled();
-  if (sp_on) {
-    f.inst_span = make_span_id(span_kind::kInstance,
-                               static_cast<std::uint64_t>(ordinal));
-    cfg_.spans->begin(f.inst_span, f.slot_span, span_kind::kInstance);
-    f.engine->set_span_tracer(cfg_.spans, f.inst_span,
-                              static_cast<std::uint32_t>(ordinal));
-  }
-  if (!env.crash_rounds.empty()) {
-    TM_CHECK(static_cast<int>(env.crash_rounds.size()) == cfg_.n,
-             "one crash entry per replica");
-    for (ProcessId i = 0; i < cfg_.n; ++i) {
-      const Round at = env.crash_rounds[static_cast<std::size_t>(i)];
-      if (at > 0) f.engine->crash_at(i, at);
-    }
-  }
+  f.inst.emplace(core_.start_instance(std::span<const Command>(&decree, 1),
+                                      env.crash_rounds, cfg_.spans,
+                                      f.slot_span));
 }
 
 void ReplicatedLog::start_ready_slots() {
@@ -159,34 +131,35 @@ void ReplicatedLog::step_flights() {
   for (auto& fp : flight_) {
     Flight& f = *fp;
     if (f.decided) continue;  // waiting behind the commit index
-    f.sampler->sample_round(f.engine->current_round() + 1, f.fates);
-    f.engine->step(f.fates);
-    if (f.engine->all_alive_decided()) {
+    RoundEngine& engine = f.inst->engine;
+    f.sampler->sample_round(engine.current_round() + 1, f.fates);
+    engine.step(f.fates);
+    if (engine.all_alive_decided()) {
       f.decided = true;
       f.rec.decided_tick = tick_;
-      f.rec.rounds = f.engine->current_round();
+      f.rec.rounds = engine.current_round();
       f.rec.attempts = f.attempt + 1;
-      const Value agreed = smr_agreed_decision(*f.engine);
+      const Value agreed = smr_agreed_decision(engine);
       TM_CHECK(agreed == slot_decree(f.rec.slot),
                "slot decided a value nobody proposed");
       f.rec.applied.assign(static_cast<std::size_t>(cfg_.n), false);
       for (ProcessId i = 0; i < cfg_.n; ++i) {
-        f.rec.applied[static_cast<std::size_t>(i)] = f.engine->alive(i);
+        f.rec.applied[static_cast<std::size_t>(i)] = engine.alive(i);
       }
       if (sp_on) {
-        cfg_.spans->cause(f.slot_span, f.inst_span, span_kind::kSlot);
-        cfg_.spans->end(f.inst_span, span_kind::kInstance);
+        cfg_.spans->cause(f.slot_span, f.inst->span, span_kind::kSlot);
+        cfg_.spans->end(f.inst->span, span_kind::kInstance);
       }
-    } else if (f.engine->current_round() >= f.max_rounds) {
+    } else if (engine.current_round() >= f.max_rounds) {
       // Attempt exhausted: end its instance span and retry with a fresh
       // environment, or abandon the slot after the attempt budget.
       if (sp_on) {
-        cfg_.spans->end(f.inst_span, span_kind::kInstance);
+        cfg_.spans->end(f.inst->span, span_kind::kInstance);
       }
       if (f.attempt + 1 >= cfg_.max_attempts_per_slot) {
         f.decided = true;  // resolves (unsuccessfully) at the commit scan
         f.rec.attempts = f.attempt + 1;
-        f.rec.rounds = f.engine->current_round();
+        f.rec.rounds = engine.current_round();
         f.rec.applied.clear();
       } else {
         ++f.attempt;
@@ -211,18 +184,8 @@ void ReplicatedLog::commit_in_order() {
                                        static_cast<std::uint64_t>(rec.slot)),
                           f.slot_span, span_kind::kApply);
       }
-      for (const LogOp& op : rec.ops) log_.push_back(op.cmd);
-      for (ProcessId i = 0; i < cfg_.n; ++i) {
-        if (!rec.applied[static_cast<std::size_t>(i)]) continue;
-        // Log replay on recovery: a replica crashed for earlier slots
-        // catches up on the whole suffix before this slot's commands.
-        std::size_t& upto = applied_[static_cast<std::size_t>(i)];
-        while (upto < log_.size()) {
-          machines_[static_cast<std::size_t>(i)]->apply(log_[upto]);
-          ++upto;
-        }
-      }
-      last_applied_ = rec.applied;
+      for (const LogOp& op : rec.ops) core_.append(op.cmd);
+      core_.apply_log(rec.applied);
       ++slots_committed_;
       if (sp_on) {
         cfg_.spans->end(make_span_id(span_kind::kApply,
@@ -258,30 +221,6 @@ std::vector<SlotRecord> ReplicatedLog::take_committed() {
   std::vector<SlotRecord> out = std::move(committed_);
   committed_.clear();
   return out;
-}
-
-bool ReplicatedLog::consistent() const {
-  return consistent_among(std::vector<bool>(machines_.size(), true));
-}
-
-bool ReplicatedLog::consistent_among(const std::vector<bool>& include) const {
-  std::uint64_t reference = 0;
-  bool have_reference = false;
-  for (std::size_t i = 0; i < machines_.size(); ++i) {
-    if (!include[i]) continue;
-    const std::uint64_t f = machines_[i]->fingerprint();
-    if (!have_reference) {
-      reference = f;
-      have_reference = true;
-    } else if (f != reference) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<bool> ReplicatedLog::alive_at_end() const {
-  return last_applied_;
 }
 
 }  // namespace timing

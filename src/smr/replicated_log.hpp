@@ -14,8 +14,9 @@
 // from the slot's own record. Slots may DECIDE out of order — a later
 // slot's instance can finish while an earlier one retries — but they
 // COMMIT strictly in slot order behind a gap-aware commit index, so
-// every replica applies the same command sequence (the same
-// log-replay-on-recovery bookkeeping as SmrGroup).
+// every replica applies the same command sequence. Engine set-up, the
+// decided log and log replay on recovery are SmrGroup's, shared through
+// smr/core.hpp; only the decision policy differs.
 //
 // This is the engine-based analogue of Nerio-style edict ordering: one
 // stable leader drives many overlapped decrees, and the paper's
@@ -29,21 +30,16 @@
 #include <memory>
 #include <vector>
 
-#include "consensus/factory.hpp"
-#include "giraf/engine.hpp"
-#include "obs/span.hpp"
-#include "sim/sampler.hpp"
-#include "smr/state_machine.hpp"
+#include "smr/core.hpp"
 
 namespace timing {
 
 struct ReplicatedLogConfig {
   int n = 5;
   AlgorithmKind algorithm = AlgorithmKind::kWlm;
-  ProcessId leader = 0;       ///< designated leader (ignored with election)
-  bool use_election = false;  ///< wrap protocols in OmegaElection
-  int pipeline = 8;           ///< max consensus instances in flight
-  int batch = 4;              ///< max commands per decree
+  ProcessId leader = 0;  ///< designated leader (the log never elects)
+  int pipeline = 8;      ///< max consensus instances in flight
+  int batch = 4;         ///< max commands per decree
   /// A non-empty open batch is sealed after waiting this many ticks even
   /// if it never fills (the flush deadline).
   int flush_ticks = 2;
@@ -58,16 +54,9 @@ struct ReplicatedLogConfig {
   SpanTracer* spans = nullptr;
 };
 
-/// Network environment for one attempt of one slot's consensus instance.
-/// Mirrors smr/client.hpp's InstanceEnv: the caller decides what the
-/// network does per (slot, attempt).
-struct SlotEnv {
-  std::unique_ptr<TimelinessSampler> sampler;
-  std::vector<Round> crash_rounds;  ///< empty = no crashes
-  int max_rounds = -1;              ///< -1 = the config default
-};
-
-using SlotEnvFactory = std::function<SlotEnv(int slot, int attempt)>;
+/// The network of one attempt of one slot's consensus instance: the
+/// caller decides what the network does per (slot, attempt).
+using SlotEnvFactory = std::function<InstanceEnv(int slot, int attempt)>;
 
 /// One command riding a slot, as the caller submitted it.
 struct LogOp {
@@ -128,18 +117,23 @@ class ReplicatedLog {
 
   /// The flattened decided command log (every committed slot's ops, in
   /// commit order).
-  const std::vector<Command>& log() const noexcept { return log_; }
-  const StateMachine& machine(ProcessId i) const { return *machines_[i]; }
+  const std::vector<Command>& log() const noexcept { return core_.log(); }
+  const StateMachine& machine(ProcessId i) const { return core_.machine(i); }
+  const SmrCore& core() const noexcept { return core_; }
 
   /// True iff all replicas' fingerprints agree. A replica that was
   /// crashed at its last slot's decision is legitimately BEHIND, not
   /// divergent — use consistent_among(alive_at_end()) for runs that end
   /// with crashed replicas.
-  bool consistent() const;
-  bool consistent_among(const std::vector<bool>& include) const;
+  bool consistent() const { return core_.consistent(); }
+  bool consistent_among(const std::vector<bool>& include) const {
+    return core_.consistent_among(include);
+  }
   /// Which replicas applied the full log at the last committed slot
   /// (all true before anything committed).
-  std::vector<bool> alive_at_end() const;
+  const std::vector<bool>& alive_at_end() const noexcept {
+    return core_.last_appliers();
+  }
 
  private:
   struct Flight;  // one in-flight slot (engine + env + bookkeeping)
@@ -151,7 +145,7 @@ class ReplicatedLog {
   void commit_in_order();
 
   ReplicatedLogConfig cfg_;
-  std::vector<std::unique_ptr<StateMachine>> machines_;
+  SmrCore core_;
   SlotEnvFactory env_of_;
   long long tick_ = 0;
 
@@ -161,15 +155,11 @@ class ReplicatedLog {
   std::deque<SlotRecord> sealed_;    ///< sealed batches awaiting a pipeline slot
   std::deque<std::unique_ptr<Flight>> flight_;  ///< in flight, slot order
 
-  std::vector<Command> log_;          ///< flattened committed commands
-  std::vector<std::size_t> applied_;  ///< per replica: log prefix applied
-  std::vector<bool> last_applied_;    ///< appliers of the last commit
   std::vector<SlotRecord> committed_; ///< drained by take_committed()
   int next_slot_ = 0;        ///< next slot ordinal (== batches opened)
   int commit_index_ = 0;     ///< lowest slot not yet committed/abandoned
   int slots_committed_ = 0;
   int slots_abandoned_ = 0;
-  int instances_run_ = 0;    ///< instance span ordinal across attempts
 };
 
 /// The decree replicas propose for `slot`: a positive slot-tagged value

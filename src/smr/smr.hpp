@@ -4,7 +4,9 @@
 //
 // Two drivers:
 //  * SmrGroup - deterministic, engine-based (lock-step rounds over a
-//    TimelinessSampler): the form used by tests and simulation studies;
+//    TimelinessSampler): the form used by tests and simulation studies.
+//    It shares its engine set-up, decided log and log replay with
+//    ReplicatedLog through smr/core.hpp;
 //  * SmrNode - deployment-shaped (one object per node over a Transport,
 //    using the Section 5.1 round synchronization): the form used by the
 //    examples and the UDP integration tests. Successive instances use
@@ -21,32 +23,11 @@
 #include <memory>
 #include <vector>
 
-#include "consensus/factory.hpp"
 #include "net/transport.hpp"
 #include "roundsync/roundsync.hpp"
-#include "sim/sampler.hpp"
-#include "smr/state_machine.hpp"
+#include "smr/core.hpp"
 
 namespace timing {
-
-class RoundEngine;
-
-// ---------------------------------------------------------------------
-// Shared building blocks (SmrGroup, SmrNode and ReplicatedLog).
-
-/// A consensus protocol instance for one replica, optionally wrapped in
-/// OmegaElection when the deployment elects its own leader.
-std::unique_ptr<Protocol> make_smr_protocol(AlgorithmKind kind,
-                                            ProcessId self, int n,
-                                            Command proposal,
-                                            bool use_election);
-
-/// The value a decided engine agreed on. Scans every replica that HAS
-/// decided — crashed or alive — and TM_CHECKs they all agree; replicas
-/// that have not decided (crashed early, or alive but still a round
-/// behind the deciders) are skipped, never read. At least one replica
-/// must have decided.
-Value smr_agreed_decision(const RoundEngine& engine);
 
 /// First wire round of instance `inst` under a per-instance stride,
 /// computed in 64 bits and TM_CHECKed to fit Round — at throughput-scale
@@ -99,10 +80,13 @@ class SmrGroup {
                                  int max_rounds = -1);
 
   /// The decided command log (one entry per decided instance, in order).
-  const std::vector<Command>& log() const noexcept { return log_; }
+  const std::vector<Command>& log() const noexcept { return core_.log(); }
 
-  int instances_decided() const noexcept { return instances_decided_; }
-  const StateMachine& machine(ProcessId i) const { return *machines_[i]; }
+  int instances_decided() const noexcept {
+    return static_cast<int>(core_.log().size());
+  }
+  const StateMachine& machine(ProcessId i) const { return core_.machine(i); }
+  const SmrCore& core() const noexcept { return core_; }
 
   /// Install a span tracer (null disables). Each run_instance call becomes
   /// an `instance` span (keyed by a monotone per-group ordinal) with the
@@ -111,18 +95,16 @@ class SmrGroup {
   void set_span_tracer(SpanTracer* spans) noexcept { spans_ = spans; }
 
   /// True iff all replicas' fingerprints agree.
-  bool consistent() const;
+  bool consistent() const { return core_.consistent(); }
   /// Consistency restricted to a subset (e.g. the survivors of a crash).
-  bool consistent_among(const std::vector<bool>& include) const;
+  bool consistent_among(const std::vector<bool>& include) const {
+    return core_.consistent_among(include);
+  }
 
  private:
   SmrGroupConfig cfg_;
-  std::vector<std::unique_ptr<StateMachine>> machines_;
-  std::vector<Command> log_;          ///< decided commands, in order
-  std::vector<std::size_t> applied_;  ///< per replica: log prefix applied
-  int instances_decided_ = 0;
+  SmrCore core_;
   SpanTracer* spans_ = nullptr;
-  int instances_run_ = 0;  ///< span ordinal (counts undecided runs too)
 };
 
 // ---------------------------------------------------------------------
@@ -133,8 +115,7 @@ struct SmrNodeConfig {
   ProcessId self = kNoProcess;
   double timeout_ms = 50.0;
   int max_rounds_per_instance = 500;
-  ProcessId leader = 0;       ///< designated leader (ignored with election)
-  bool use_election = false;
+  ProcessId leader = 0;  ///< designated leader (SmrNode never elects)
   std::vector<double> one_way_ms;  ///< L_i[j] for fast-forward (optional)
   /// Wire-round stride between instances; must exceed any instance's
   /// round count and be identical across replicas.

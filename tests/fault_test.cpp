@@ -163,6 +163,18 @@ TEST(FaultPlan, MinProcessesAndTimeline) {
   EXPECT_NE(tl.find("rounds 2..2"), std::string::npos) << tl;
 }
 
+TEST(FaultPlan, CrashRoundsKeepOnlyUnrecoveredCrashes) {
+  const ParseResult pr = parse_fault_plan(
+      "crash 1 @2; recover 1 @4; crash 1 @6; crash 3 @3; recover 3 @5; "
+      "gsr @8");
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  ASSERT_EQ(validate(pr.plan, 5, /*leader=*/0), "");
+  // p1 crashes, recovers and crashes again: the second crash stands. p3
+  // recovers for good, and p0, p2 and p4 never crash.
+  EXPECT_EQ(crash_rounds(pr.plan, 5), (std::vector<Round>{0, 6, 0, 0, 0}));
+  EXPECT_EQ(crash_rounds(FaultPlan{}, 3), (std::vector<Round>{0, 0, 0}));
+}
+
 // ---------------------------------------------------------------------------
 // Sim-path injector semantics
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ std::vector<std::unique_ptr<StateMachine>> kv_machines(int n) {
 
 SlotEnvFactory timely_envs(int n) {
   return [n](int, int) {
-    SlotEnv env;
+    InstanceEnv env;
     env.sampler = std::make_unique<TimelySampler>(n);
     return env;
   };
@@ -140,7 +140,7 @@ TEST(ReplicatedLog, InFlightNeverExceedsThePipeline) {
   cfg.pipeline = 2;
   cfg.batch = 1;
   ReplicatedLog rlog(cfg, kv_machines(3), [](int, int) {
-    SlotEnv env;  // slow enough that slots queue behind the pipeline
+    InstanceEnv env;  // slow enough that slots queue behind the pipeline
     env.sampler = std::make_unique<LostUntilSampler>(3, 6);
     return env;
   });
@@ -182,7 +182,7 @@ TEST(ReplicatedLog, OutOfOrderDecisionStillCommitsInSlotOrder) {
   // Slot 0's network is dead until round 12; slot 1's is timely from the
   // start, so slot 1 DECIDES first but must wait to COMMIT second.
   ReplicatedLog rlog(cfg, kv_machines(3), [](int slot, int) {
-    SlotEnv env;
+    InstanceEnv env;
     if (slot == 0) {
       env.sampler = std::make_unique<LostUntilSampler>(3, 12);
     } else {
@@ -221,7 +221,7 @@ TEST(ReplicatedLog, AbandonsASlotAfterTheAttemptBudget) {
   std::vector<std::pair<int, int>> asked;  // (slot, attempt) requests
   ReplicatedLog rlog(cfg, kv_machines(3), [&asked](int slot, int attempt) {
     asked.emplace_back(slot, attempt);
-    SlotEnv env;  // never decides within its round budget
+    InstanceEnv env;  // never decides within its round budget
     env.sampler = std::make_unique<LostUntilSampler>(3, 1 << 28);
     env.max_rounds = 5;
     return env;
@@ -258,7 +258,7 @@ TEST(ReplicatedLog, ConsistentAmongSurvivorsWithACrashedReplica) {
   // Slots 0-1 are fault-free; replica 4 is crashed from round 1 of slot
   // 2's instance, so it misses that slot's command and ends BEHIND.
   ReplicatedLog rlog(cfg, kv_machines(kN), [kN, kCrashed](int slot, int) {
-    SlotEnv env;
+    InstanceEnv env;
     env.sampler = std::make_unique<TimelySampler>(kN);
     if (slot == 2) {
       env.crash_rounds.assign(kN, 0);
