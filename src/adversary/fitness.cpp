@@ -1,7 +1,6 @@
 #include "adversary/fitness.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -24,12 +23,11 @@ std::uint64_t bucket8(long long part, long long whole) noexcept {
   return static_cast<std::uint64_t>((part * 8) / whole);
 }
 
-/// The failure-shape fingerprint. Uses the same TrialSummary schema the
-/// offline `trace_tool summary --json` output exposes, so external
-/// tooling can reproduce signatures from a recorded trace.
-std::uint64_t coverage_signature(const TrialSummary& s,
-                                 const fault::ChaosRunResult& r,
-                                 Round gsr) {
+/// The failure-shape fingerprint, read off the chaos harness's summary
+/// of the validated trace: the same TrialSummary `trace_tool summary`
+/// builds, so a recorded trace reproduces it offline.
+std::uint64_t coverage_signature(const fault::ChaosRunResult& r, Round gsr) {
+  const TrialSummary& s = r.summary;
   std::uint64_t h = 0xcbf29ce484222325ull;
   sig_mix(h, static_cast<std::uint64_t>(
                  std::min<long long>(s.fault_events, 255) / 16));
@@ -56,17 +54,6 @@ std::uint64_t coverage_signature(const TrialSummary& s,
   }
   sig_mix(h, outcome);
   return h;
-}
-
-/// Fault kinds fired, straight off the injection events.
-std::uint64_t fired_kind_mask(const std::vector<TraceEvent>& events) {
-  std::uint64_t mask = 0;
-  for (const TraceEvent& e : events) {
-    if (e.kind == EventKind::kFaultInjected) {
-      mask |= 1ull << (e.rule & 63);
-    }
-  }
-  return mask;
 }
 
 }  // namespace
@@ -104,18 +91,11 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
         cfg.min_rounds,
         candidate.plan.gsr + fault::bound_after_gsr(cfg.algorithm) + 2);
     BufferSink sink;
-    tc.trace = &sink;
+    if (traces != nullptr) tc.trace = &sink;
     const fault::ChaosRunResult r =
         fault::run_chaos_algorithm(cfg.algorithm, tc);
-
-    TrialTrace trial;
-    trial.id = j;
-    trial.n = cfg.n;
-    trial.events = sink.events();
-    const std::array<int, kTraceNumModels> needed{3, 3, 4, 5};
-    const TrialSummary summary = summarize_trial(trial, cfg.n, needed);
-    sig_mix(f.signature, coverage_signature(summary, r, gsr));
-    sig_mix(f.signature, fired_kind_mask(trial.events));
+    sig_mix(f.signature, coverage_signature(r, gsr));
+    sig_mix(f.signature, r.summary.fault_kinds);
 
     f.supported = f.supported && r.liveness_enforced;
     if (!r.safety_ok && !f.safety_violation) {
@@ -131,8 +111,7 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
     // Dense delay: every correct process contributes its own decision
     // round (the proven floor max_rounds when it never decided).
     std::vector<Round> decided_at(static_cast<std::size_t>(cfg.n), -1);
-    for (const TraceEvent& e : trial.events) {
-      if (e.kind != EventKind::kDecide) continue;
+    for (const TraceEvent& e : r.summary.decides) {
       if (e.proc < 0 || e.proc >= cfg.n) continue;
       auto& slot = decided_at[static_cast<std::size_t>(e.proc)];
       if (slot < 0) slot = e.round;
@@ -142,7 +121,9 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
       const Round d = decided_at[static_cast<std::size_t>(p)];
       delay_sum += static_cast<double>((d >= 0 ? d : tc.max_rounds) - gsr);
     }
-    if (traces != nullptr) traces->push_back(std::move(trial));
+    if (traces != nullptr) {
+      traces->push_back(TrialTrace{j, cfg.n, sink.events()});
+    }
   }
   f.delay = delay_sum / (static_cast<double>(correct) * cfg.samples);
 

@@ -23,12 +23,13 @@
 //                                      nothing; the walker discards it)
 //
 // Each evaluation also produces a coverage signature: a stable hash of
-// the run's failure *shape* drawn from the recorded trace (fault kinds
-// actually fired, oracle leader-span count, message-fate fractions,
-// per-class csat conformance buckets, outcome tier). The search grants
-// novelty credit for unseen signatures so it keeps exploring distinct
-// shapes instead of re-finding one; the signature deliberately excludes
-// the exact delay, which the score already carries.
+// the run's failure *shape* drawn from the chaos harness's summary of
+// each validated trace (fault kinds actually fired, oracle leader-span
+// count, message-fate fractions, per-class csat conformance buckets,
+// outcome tier). The search grants novelty credit for unseen signatures
+// so it keeps exploring distinct shapes instead of re-finding one; the
+// signature deliberately excludes the exact delay, which the score
+// already carries.
 #pragma once
 
 #include <cstdint>

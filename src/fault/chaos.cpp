@@ -281,7 +281,12 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
       n, cfg.leader, cfg.plan.gsr - 1, cfg.seed ^ 0x9e37);
   RoundEngine engine(std::move(protocols), oracle);
 
-  BufferSink sink;
+  // One trace buffer per thread, cleared here and so carrying nothing
+  // from one execution to the next. The pool's workers are long-lived:
+  // the buffer's capacity settles at the longest execution, and
+  // recording stops allocating.
+  thread_local BufferSink sink;
+  sink.clear();
   engine.set_trace_sink(&sink);
 
   bool any_permanent = false;
@@ -334,20 +339,16 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
   }
 
   // --- Integrity + structural trace check -----------------------------
-  ParsedTrace trace;
-  trace.version = kTraceSchemaVersion;
-  trace.n = n;
-  trace.trials.push_back(TrialTrace{0, n, sink.events()});
+  const std::vector<TraceEvent>& events = sink.events();
   if (out.safety_ok) {
-    const std::string trace_err = validate_trace(trace);
+    const std::string trace_err = validate_trial(events);
     if (!trace_err.empty()) {
       out.safety_ok = false;
       out.violation = violation_report("integrity (trace invariant)", kind,
                                        cfg, out, trace_err);
     }
   }
-  const std::array<int, kTraceNumModels> needed{3, 3, 4, 5};
-  out.fault_events = summarize_trial(trace.trials[0], n, needed).fault_events;
+  out.summary = summarize_trial(events, n, {3, 3, 4, 5});
 
   // --- Liveness: decision within the paper bound after gsr ------------
   // Only owed when the post-gsr schedule actually delivers the
@@ -380,7 +381,7 @@ ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
   }
 
   if (cfg.trace != nullptr) {
-    for (const TraceEvent& e : sink.events()) cfg.trace->record(e);
+    for (const TraceEvent& e : events) cfg.trace->record(e);
   }
   return out;
 }

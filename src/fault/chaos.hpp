@@ -17,6 +17,7 @@
 #include "fault/plan.hpp"
 #include "models/link_model_matrix.hpp"
 #include "models/timing_model.hpp"
+#include "obs/trace_analysis.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace timing::fault {
@@ -70,7 +71,8 @@ struct ChaosTrialConfig {
   /// granular_supports() says the reliable plane can carry the
   /// algorithm's native model. All-sync is bit-identical to homogeneous.
   LinkModelMatrix link_models;
-  /// Optional: receives the full engine + injection trace of the run.
+  /// Optional: receives the full engine + injection trace of the run,
+  /// the same events `ChaosRunResult::summary` summarizes, in order.
   TraceSink* trace = nullptr;
 };
 
@@ -83,15 +85,20 @@ struct ChaosRunResult {
   /// stays true in that case, it was simply never checked.
   bool liveness_enforced = true;
   Round global_decision_round = -1;
-  long long fault_events = 0;
+  /// summarize_trial over the run's engine + injection trace (R_M =
+  /// {3, 3, 4, 5}), recorded whether or not `cfg.trace` is set.
+  TrialSummary summary;
   /// "" when ok; otherwise the full replayable report (config line +
   /// verbatim plan spec).
   std::string violation;
 
   bool ok() const noexcept { return safety_ok && liveness_ok; }
+  bool operator==(const ChaosRunResult&) const = default;
 };
 
-/// One algorithm under one plan. Deterministic in (kind, cfg).
+/// One algorithm under one plan. Deterministic in (kind, cfg). The run's
+/// trace is recorded once, into a buffer the calling thread reuses from
+/// one execution to the next, and is validated and summarized in place.
 ChaosRunResult run_chaos_algorithm(AlgorithmKind kind,
                                    const ChaosTrialConfig& cfg);
 

@@ -40,10 +40,11 @@ bool is_msg(EventKind k) noexcept {
 
 }  // namespace
 
-TrialSummary summarize_trial(const TrialTrace& trial, int n,
-                             const std::array<int, kTraceNumModels>& needed) {
+TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
+                             const std::array<int, kTraceNumModels>& needed,
+                             int trial_id) {
   TrialSummary out;
-  out.trial_id = trial.id;
+  out.trial_id = trial_id;
   out.n = n;
   out.links.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                    LinkCounts{});
@@ -76,7 +77,7 @@ TrialSummary summarize_trial(const TrialTrace& trial, int n,
     oracle_out.clear();
   };
 
-  for (const TraceEvent& e : trial.events) {
+  for (const TraceEvent& e : events) {
     // Op events carry a logical timestamp, not an engine round; span
     // and metrics events annotate rounds rather than defining them.
     // None of those may inflate the trial's round count.
@@ -141,6 +142,7 @@ TrialSummary summarize_trial(const TrialTrace& trial, int n,
         break;
       case EventKind::kFaultInjected:
         ++out.fault_events;
+        out.fault_kinds |= 1ull << (e.rule & 63);
         break;
       case EventKind::kClientOp:
         ++out.op_events;
@@ -198,122 +200,125 @@ TraceSummary summarize_trace(const ParsedTrace& trace,
 }
 
 std::string validate_trace(const ParsedTrace& trace) {
-  std::ostringstream err;
   for (const TrialTrace& trial : trace.trials) {
-    Round open_round = -1;   // round between RoundStart and RoundEnd
-    Round last_started = 0;
-    Round op_ts = -1;        // last ClientOp logical timestamp
-    int last_rank = -1;
-    bool trial_has_sends = false;
-    for (const TraceEvent& e : trial.events) {
-      if (e.kind == EventKind::kMsgSent) {
-        trial_has_sends = true;
-        break;
-      }
-    }
-    std::set<std::pair<ProcessId, ProcessId>> sent_this_round;
-    std::set<ProcessId> decided, crashed;
-    // Span lifecycle (0 = unseen, 1 = begun, 2 = ended); mirrors the
-    // parser's checks so programmatically-built traces are held to the
-    // same contract.
-    std::map<std::uint64_t, int> span_state;
+    std::string err = validate_trial(trial.events, trial.id);
+    if (!err.empty()) return err;
+  }
+  return "";
+}
 
-    for (std::size_t i = 0; i < trial.events.size(); ++i) {
-      const TraceEvent& e = trial.events[i];
-      auto fail = [&](const std::string& why) {
-        err << "trial " << trial.id << " event " << i << " ("
-            << to_string(e.kind) << ", round " << e.round << "): " << why;
-        return err.str();
-      };
+std::string validate_trial(std::span<const TraceEvent> events,
+                           int trial_id) {
+  Round open_round = -1;   // round between RoundStart and RoundEnd
+  Round last_started = 0;
+  Round op_ts = -1;        // last ClientOp logical timestamp
+  int last_rank = -1;
+  const bool trial_has_sends =
+      std::any_of(events.begin(), events.end(), [](const TraceEvent& e) {
+        return e.kind == EventKind::kMsgSent;
+      });
+  std::set<std::pair<ProcessId, ProcessId>> sent_this_round;
+  std::set<ProcessId> decided, crashed;
+  // Span lifecycle (0 = unseen, 1 = begun, 2 = ended); mirrors the
+  // parser's checks so programmatically-built traces are held to the
+  // same contract.
+  std::map<std::uint64_t, int> span_state;
 
-      if (e.kind == EventKind::kClientOp) {
-        // Op events carry logical timestamps from the client harness,
-        // not engine rounds: exempt from all round/phase checks, but
-        // the timestamps must strictly increase within the trial so
-        // histories have a total invocation/completion order.
-        if (op_ts >= 0 && e.round <= op_ts) {
-          return fail("op timestamps must strictly increase");
-        }
-        op_ts = e.round;
-        continue;
-      }
-      if (e.kind == EventKind::kSpan) {
-        // Spans annotate rounds (or are round-free, k = 0) and carry
-        // monotonic timestamps, not engine rounds: exempt from the
-        // open-round/phase checks. Their lifecycle must still be sound.
-        if (e.span_id == 0) return fail("span id must be positive");
-        if (span_kind_name(e.span_kind) == nullptr) {
-          return fail("invalid span kind");
-        }
-        int& st = span_state[e.span_id];
-        if (e.span_phase == span_phase::kBegin) {
-          if (st != 0) return fail("duplicate span begin");
-          st = 1;
-        } else if (e.span_phase == span_phase::kEnd) {
-          if (st == 0) return fail("span end before begin");
-          if (st == 2) return fail("duplicate span end");
-          st = 2;
-        } else if (e.span_phase == span_phase::kCause) {
-          if (e.span_parent == 0) return fail("cause edge without a cause");
-        } else {
-          return fail("invalid span phase");
-        }
-        continue;
-      }
-      if (e.kind == EventKind::kMetricsSnapshot) continue;  // exempt
-      if (e.kind == EventKind::kFaultInjected) {
-        // Sim-path injection happens while round k is being *sampled*,
-        // i.e. after RoundEnd(k-1) and before the engine's RoundStart(k),
-        // so fault events are exempt from the open-round and phase
-        // checks. They still may not reference an already-closed round.
-        if (e.round < last_started) {
-          return fail("fault event for an already-closed round");
-        }
-        continue;
-      }
-      if (e.kind == EventKind::kRoundStart) {
-        if (open_round >= 0) return fail("previous round never ended");
-        if (e.round <= last_started) {
-          return fail("round numbers must strictly increase");
-        }
-        open_round = e.round;
-        last_started = e.round;
-        last_rank = 0;
-        sent_this_round.clear();
-        continue;
-      }
-      if (open_round < 0) return fail("event outside any round");
-      if (e.round != open_round) {
-        return fail("round does not match the open round " +
-                    std::to_string(open_round));
-      }
-      const int rank = phase_rank(e.kind);
-      if (rank < last_rank) {
-        return fail("out-of-order phase (rank " + std::to_string(rank) +
-                    " after " + std::to_string(last_rank) + ")");
-      }
-      last_rank = rank;
-
-      if (e.kind == EventKind::kMsgSent) {
-        sent_this_round.insert({e.src, e.dst});
-      } else if (trial_has_sends && is_msg(e.kind)) {
-        if (sent_this_round.count({e.src, e.dst}) == 0) {
-          return fail("delivery/loss without a preceding send on the link");
-        }
-      }
-      if (e.kind == EventKind::kDecide && !decided.insert(e.proc).second) {
-        return fail("process decided twice");
-      }
-      if (e.kind == EventKind::kCrash && !crashed.insert(e.proc).second) {
-        return fail("process crashed twice");
-      }
-      if (e.kind == EventKind::kRoundEnd) open_round = -1;
-    }
-    if (open_round >= 0) {
-      err << "trial " << trial.id << ": round " << open_round
-          << " never ended";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    auto fail = [&](const std::string& why) {
+      std::ostringstream err;
+      err << "trial " << trial_id << " event " << i << " ("
+          << to_string(e.kind) << ", round " << e.round << "): " << why;
       return err.str();
+    };
+
+    if (e.kind == EventKind::kClientOp) {
+      // Op events carry logical timestamps from the client harness,
+      // not engine rounds: exempt from all round/phase checks, but
+      // the timestamps must strictly increase within the trial so
+      // histories have a total invocation/completion order.
+      if (op_ts >= 0 && e.round <= op_ts) {
+        return fail("op timestamps must strictly increase");
+      }
+      op_ts = e.round;
+      continue;
     }
+    if (e.kind == EventKind::kSpan) {
+      // Spans annotate rounds (or are round-free, k = 0) and carry
+      // monotonic timestamps, not engine rounds: exempt from the
+      // open-round/phase checks. Their lifecycle must still be sound.
+      if (e.span_id == 0) return fail("span id must be positive");
+      if (span_kind_name(e.span_kind) == nullptr) {
+        return fail("invalid span kind");
+      }
+      int& st = span_state[e.span_id];
+      if (e.span_phase == span_phase::kBegin) {
+        if (st != 0) return fail("duplicate span begin");
+        st = 1;
+      } else if (e.span_phase == span_phase::kEnd) {
+        if (st == 0) return fail("span end before begin");
+        if (st == 2) return fail("duplicate span end");
+        st = 2;
+      } else if (e.span_phase == span_phase::kCause) {
+        if (e.span_parent == 0) return fail("cause edge without a cause");
+      } else {
+        return fail("invalid span phase");
+      }
+      continue;
+    }
+    if (e.kind == EventKind::kMetricsSnapshot) continue;  // exempt
+    if (e.kind == EventKind::kFaultInjected) {
+      // Sim-path injection happens while round k is being *sampled*,
+      // i.e. after RoundEnd(k-1) and before the engine's RoundStart(k),
+      // so fault events are exempt from the open-round and phase
+      // checks. They still may not reference an already-closed round.
+      if (e.round < last_started) {
+        return fail("fault event for an already-closed round");
+      }
+      continue;
+    }
+    if (e.kind == EventKind::kRoundStart) {
+      if (open_round >= 0) return fail("previous round never ended");
+      if (e.round <= last_started) {
+        return fail("round numbers must strictly increase");
+      }
+      open_round = e.round;
+      last_started = e.round;
+      last_rank = 0;
+      sent_this_round.clear();
+      continue;
+    }
+    if (open_round < 0) return fail("event outside any round");
+    if (e.round != open_round) {
+      return fail("round does not match the open round " +
+                  std::to_string(open_round));
+    }
+    const int rank = phase_rank(e.kind);
+    if (rank < last_rank) {
+      return fail("out-of-order phase (rank " + std::to_string(rank) +
+                  " after " + std::to_string(last_rank) + ")");
+    }
+    last_rank = rank;
+
+    if (e.kind == EventKind::kMsgSent) {
+      sent_this_round.insert({e.src, e.dst});
+    } else if (trial_has_sends && is_msg(e.kind)) {
+      if (sent_this_round.count({e.src, e.dst}) == 0) {
+        return fail("delivery/loss without a preceding send on the link");
+      }
+    }
+    if (e.kind == EventKind::kDecide && !decided.insert(e.proc).second) {
+      return fail("process decided twice");
+    }
+    if (e.kind == EventKind::kCrash && !crashed.insert(e.proc).second) {
+      return fail("process crashed twice");
+    }
+    if (e.kind == EventKind::kRoundEnd) open_round = -1;
+  }
+  if (open_round >= 0) {
+    return "trial " + std::to_string(trial_id) + ": round " +
+           std::to_string(open_round) + " never ended";
   }
   return "";
 }

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +68,8 @@ struct TrialSummary {
   std::vector<TraceEvent> decides;       ///< in emission order
   std::vector<TraceEvent> crashes;
   long long fault_events = 0;            ///< FaultInjected events recorded
+  /// Bit `rule & 63` per FaultInjected event: the fault kinds fired.
+  std::uint64_t fault_kinds = 0;
   long long op_events = 0;               ///< ClientOp events recorded
   long long span_events = 0;             ///< Span events recorded
   long long metrics_events = 0;          ///< MetricsSnapshot events recorded
@@ -91,12 +95,22 @@ struct TrialSummary {
                      static_cast<std::size_t>(n) +
                  static_cast<std::size_t>(dst)];
   }
+
+  bool operator==(const TrialSummary&) const = default;
 };
 
-/// `needed[m]` = R_M, the consecutive conforming rounds model m requires
-/// for global decision (the paper's defaults are {3, 3, 4, 5}).
-TrialSummary summarize_trial(const TrialTrace& trial, int n,
-                             const std::array<int, kTraceNumModels>& needed);
+/// Summarizes one trial's events where they lie (a sink's buffer or a
+/// parsed trial). `needed[m]` = R_M, the consecutive conforming rounds
+/// model m requires for global decision (the paper's defaults are
+/// {3, 3, 4, 5}).
+TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
+                             const std::array<int, kTraceNumModels>& needed,
+                             int trial_id = 0);
+inline TrialSummary summarize_trial(
+    const TrialTrace& trial, int n,
+    const std::array<int, kTraceNumModels>& needed) {
+  return summarize_trial(trial.events, n, needed, trial.id);
+}
 
 struct TraceSummary {
   int n = 0;
@@ -125,6 +139,10 @@ TraceSummary summarize_trace(const ParsedTrace& trace,
 /// events are fully exempt ("k" is a logical timestamp, not a round),
 /// but their timestamps must strictly increase within each trial.
 std::string validate_trace(const ParsedTrace& trace);
+/// validate_trace for one trial's events, checked where they lie;
+/// `trial_id` only labels the report.
+std::string validate_trial(std::span<const TraceEvent> events,
+                           int trial_id = 0);
 
 struct TraceDiff {
   bool identical = true;

@@ -423,8 +423,8 @@ int lab_replay(int argc, char** argv) {
               << entry.decision_round << " score="
               << Table::num(entry.score, 1) << "\n\n";
     std::vector<TrialTrace> traces;
-    const adversary::Fitness f =
-        adversary::evaluate(entry.candidate, entry.eval, &traces);
+    const adversary::Fitness f = adversary::evaluate(
+        entry.candidate, entry.eval, trace_path.empty() ? nullptr : &traces);
     print_replay_outcome(std::cout, f, entry.candidate.plan,
                          entry.eval.algorithm);
     if (!trace_path.empty() &&
@@ -496,7 +496,8 @@ int lab_replay(int argc, char** argv) {
             << ", seed=" << eval.eval_seed << "\n\nplan:\n"
             << fault::timeline(c.plan) << "\n";
   std::vector<TrialTrace> traces;
-  const adversary::Fitness f = adversary::evaluate(c, eval, &traces);
+  const adversary::Fitness f =
+      adversary::evaluate(c, eval, trace_path.empty() ? nullptr : &traces);
   print_replay_outcome(std::cout, f, c.plan, eval.algorithm);
   if (!trace_path.empty() &&
       write_replay_trace(trace_path, traces, eval.n) != 0) {

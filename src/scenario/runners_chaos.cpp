@@ -114,7 +114,7 @@ int run_chaos_family(const ScenarioSpec& spec, const RunContext& ctx,
       const fault::ChaosRunResult& r = trial.per_kind[i];
       KindTally& kt = tallies[i];
       ++kt.trials;
-      kt.fault_events += r.fault_events;
+      kt.fault_events += r.summary.fault_events;
       if (!r.safety_ok) ++kt.safety_violations;
       if (!r.liveness_ok) ++kt.liveness_violations;
       if (!r.liveness_enforced) ++kt.liveness_waived;

@@ -4,6 +4,7 @@
 // determinism across TIMING_THREADS and across resumed budgets, the
 // shrinker/polish passes, and the archive's byte round-trip.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <set>
 #include <string>
@@ -168,12 +169,54 @@ TEST(AdversaryFitness, TracesMatchSampleCount) {
   EvalConfig e = small_eval();
   e.samples = 3;
   std::vector<TrialTrace> traces;
-  (void)evaluate(c, e, &traces);
+  EXPECT_EQ(evaluate(c, e, &traces), evaluate(c, e));
   ASSERT_EQ(traces.size(), 3u);
   for (int j = 0; j < 3; ++j) {
     EXPECT_EQ(traces[static_cast<std::size_t>(j)].id, j);
     EXPECT_FALSE(traces[static_cast<std::size_t>(j)].events.empty());
   }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TIMING_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TIMING_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
+TEST(AdversaryFitness, WarmEvaluationsDoNotFaultTheHeap) {
+  // Once a worker has run a few evaluations, more of them reuse its
+  // trace buffer and leave the heap's size alone. Copying each trace
+  // instead grows and trims the top of the heap on every execution,
+  // which costs thousands of minor page faults over this loop.
+#if defined(TIMING_SANITIZED_ALLOCATOR)
+  GTEST_SKIP() << "sanitizer allocators manage the heap differently";
+#elif !defined(RUSAGE_THREAD)
+  GTEST_SKIP() << "RUSAGE_THREAD is not available on this platform";
+#else
+  EvalConfig e;
+  e.algorithm = AlgorithmKind::kPaxos;
+  e.n = 5;
+  e.samples = 5;
+  const MutationConfig m = small_mut();
+  auto candidate = [&](std::uint64_t i) {
+    return seed_candidate(m, substream_seed(0xfa17, i));
+  };
+  for (std::uint64_t i = 0; i < 5; ++i) (void)evaluate(candidate(i), e);
+  std::vector<Candidate> plans;
+  for (std::uint64_t i = 0; i < 300; ++i) plans.push_back(candidate(5 + i));
+
+  auto minor_faults = [] {
+    rusage u{};
+    EXPECT_EQ(getrusage(RUSAGE_THREAD, &u), 0);
+    return u.ru_minflt;
+  };
+  const long before = minor_faults();
+  for (const Candidate& c : plans) (void)evaluate(c, e);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, 300) << "minor faults over 300 warm evaluations";
+#endif
 }
 
 // ---------------------------------------------------------------------------

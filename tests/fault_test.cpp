@@ -467,6 +467,83 @@ TEST(Chaos, TraceBytesIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Chaos, ResultSummaryMatchesForwardedTrace) {
+  // The harness summarizes its own recording of the run; the caller's
+  // sink must receive exactly those events, and attaching it must not
+  // change the result.
+  for (std::uint64_t seed : {3ull, 17ull, 4242ull}) {
+    ChaosTrialConfig cfg;
+    cfg.n = 5;
+    cfg.leader = 0;
+    cfg.seed = seed;
+    cfg.plan = random_fault_plan(5, 0, seed);
+    cfg.max_rounds = 120;
+    for (AlgorithmKind k :
+         {AlgorithmKind::kWlm, AlgorithmKind::kEs3, AlgorithmKind::kLm3,
+          AlgorithmKind::kAfm5, AlgorithmKind::kLmOverWlm,
+          AlgorithmKind::kPaxos}) {
+      BufferSink sink;
+      cfg.trace = &sink;
+      const ChaosRunResult traced = run_chaos_algorithm(k, cfg);
+      ASSERT_FALSE(sink.events().empty());
+      EXPECT_EQ(traced.summary,
+                summarize_trial(sink.events(), cfg.n, {3, 3, 4, 5}))
+          << algorithm_key(k) << " seed " << seed;
+      ParsedTrace trace;
+      trace.version = kTraceSchemaVersion;
+      trace.n = cfg.n;
+      trace.trials.push_back(TrialTrace{0, cfg.n, sink.events()});
+      EXPECT_EQ(validate_trace(trace), "");
+
+      cfg.trace = nullptr;
+      const ChaosRunResult untraced = run_chaos_algorithm(k, cfg);
+      EXPECT_EQ(untraced, traced) << algorithm_key(k) << " seed " << seed;
+    }
+  }
+}
+
+TEST(Chaos, BackToBackExecutionsMatchFreshOnes) {
+  // Each thread records into one reused buffer. A long run, a short run
+  // and the long run again on one thread must each match a run with
+  // nothing before it: a missed clear leaks the long run's events into
+  // the short one, and a stale high-water mark shows in either.
+  ChaosTrialConfig long_cfg;
+  long_cfg.n = 5;
+  long_cfg.leader = 0;
+  long_cfg.seed = 11;
+  long_cfg.plan = random_fault_plan(5, 0, long_cfg.seed);
+  long_cfg.max_rounds = 120;
+  ChaosTrialConfig short_cfg = long_cfg;
+  short_cfg.max_rounds = 2;  // cut off long before any decision
+
+  struct Run {
+    ChaosRunResult result;
+    std::vector<TraceEvent> events;
+  };
+  auto run = [](ChaosTrialConfig cfg) {
+    BufferSink sink;
+    cfg.trace = &sink;
+    Run out;
+    out.result = run_chaos_algorithm(AlgorithmKind::kPaxos, cfg);
+    out.events = sink.events();
+    return out;
+  };
+
+  const Run first = run(long_cfg);
+  const Run brief = run(short_cfg);
+  const Run again = run(long_cfg);
+  Run fresh;
+  std::thread worker([&] { fresh = run(short_cfg); });
+  worker.join();
+
+  EXPECT_EQ(again.result, first.result);
+  EXPECT_EQ(again.events, first.events);
+  EXPECT_EQ(brief.result, fresh.result);
+  EXPECT_EQ(brief.events, fresh.events);
+  // The two lengths must differ several-fold for the checks to bite.
+  EXPECT_GE(first.events.size(), 4 * fresh.events.size());
+}
+
 // ---------------------------------------------------------------------------
 // Chaos under granular link models
 // ---------------------------------------------------------------------------
@@ -492,7 +569,7 @@ TEST(ChaosGranular, AllSyncVerdictsAreBitIdentical) {
       EXPECT_EQ(a.liveness_ok, b.liveness_ok);
       EXPECT_TRUE(b.liveness_enforced);
       EXPECT_EQ(a.global_decision_round, b.global_decision_round);
-      EXPECT_EQ(a.fault_events, b.fault_events);
+      EXPECT_EQ(a.summary.fault_events, b.summary.fault_events);
       EXPECT_EQ(a.violation, b.violation);
     }
   }
@@ -658,7 +735,7 @@ TEST(FaultInjectedTransport, LiveClusterMatchesTheSharedInjector) {
   ccfg.max_rounds = 100;
   const ChaosRunResult sim = run_chaos_algorithm(AlgorithmKind::kWlm, ccfg);
   EXPECT_TRUE(sim.ok()) << sim.violation;
-  EXPECT_GT(sim.fault_events, 0);
+  EXPECT_GT(sim.summary.fault_events, 0);
 }
 
 TEST(FaultInjectedTransport, DelaysDeliverLateButIntact) {
@@ -710,7 +787,7 @@ TEST(TraceToolFixture, WritesFaultedTraceForCli) {
   cfg.trace = &sink;
   const ChaosRunResult r = run_chaos_algorithm(AlgorithmKind::kWlm, cfg);
   ASSERT_TRUE(r.ok()) << r.violation;
-  ASSERT_GT(r.fault_events, 0);
+  ASSERT_GT(r.summary.fault_events, 0);
   std::ofstream out("fault_cli_trace.jsonl", std::ios::trunc);
   ASSERT_TRUE(out.good());
   write_trace_header(out, cfg.n);
