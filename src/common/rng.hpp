@@ -5,6 +5,7 @@
 // experiment is reproducible from a single 64-bit seed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace timing {
@@ -24,10 +25,24 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  // next() and uniform() are defined here, not in rng.cpp, so that the
+  // samplers' per-link draws inline.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of next().
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;

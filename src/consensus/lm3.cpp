@@ -21,7 +21,7 @@ SendSpec Lm3Consensus::make_send() const {
   m.ts = ts_;
   m.leader = new_ld_;
   m.heard_maj = heard_maj_;
-  return SendSpec{std::move(m), SendSpec::all(n_)};
+  return SendSpec{std::move(m), Destinations::all(n_)};
 }
 
 SendSpec Lm3Consensus::initialize(ProcessId leader_hint) {

@@ -15,7 +15,7 @@ LmOverWlmSimulation::LmOverWlmSimulation(ProcessId self, int n,
 SendSpec LmOverWlmSimulation::initialize(ProcessId leader_hint) {
   SendSpec inner_spec = inner_->initialize(leader_hint);
   pending_inner_msg_ = inner_spec.msg;  // kept for our own row bookkeeping
-  return SendSpec{inner_spec.msg, SendSpec::all(n_)};
+  return SendSpec{inner_spec.msg, Destinations::all(n_)};
 }
 
 // compute_WLM (Algorithm 3 lines 4-11).
@@ -33,7 +33,7 @@ SendSpec LmOverWlmSimulation::compute(Round k, const RoundMsgs& received,
         relay.relay_msgs.push_back(*received[j]);
       }
     }
-    return SendSpec{std::move(relay), SendSpec::all(n_)};
+    return SendSpec{std::move(relay), Destinations::all(n_)};
   }
 
   // Even round: reconstruct M_fixed[k/2][*] from the received relays
@@ -68,7 +68,7 @@ SendSpec LmOverWlmSimulation::compute(Round k, const RoundMsgs& received,
     trace_decide(k, self_, inner_->decision(), decide_rule::kSimulated);
   }
   pending_inner_msg_ = inner_spec.msg;
-  return SendSpec{inner_spec.msg, SendSpec::all(n_)};
+  return SendSpec{inner_spec.msg, Destinations::all(n_)};
 }
 
 }  // namespace timing

@@ -14,11 +14,11 @@ PaxosConsensus::PaxosConsensus(ProcessId self, int n, Value proposal)
 }
 
 SendSpec PaxosConsensus::send_to(Message m, ProcessId dst) const {
-  return SendSpec{std::move(m), {dst}};
+  return SendSpec{std::move(m), Destinations::one(dst)};
 }
 
 SendSpec PaxosConsensus::broadcast(Message m) const {
-  return SendSpec{std::move(m), SendSpec::all(n_)};
+  return SendSpec{std::move(m), Destinations::all(n_)};
 }
 
 SendSpec PaxosConsensus::initialize(ProcessId leader_hint) {

@@ -18,7 +18,7 @@ SendSpec UnanimityConsensus::make_send() const {
   m.type = msg_type_;
   m.est = est_;
   m.ts = ts_;
-  return SendSpec{std::move(m), SendSpec::all(n_)};
+  return SendSpec{std::move(m), Destinations::all(n_)};
 }
 
 SendSpec UnanimityConsensus::initialize(ProcessId) { return make_send(); }

@@ -16,12 +16,11 @@ WlmConsensus::WlmConsensus(ProcessId self, int n, Value proposal)
 // Procedure Destinations(leader_i), lines 9-11: the leader sends to Pi,
 // everyone else sends only to its trusted leader. This is what makes the
 // stable-state message complexity linear.
-std::vector<ProcessId> WlmConsensus::destinations(
-    ProcessId leader_hint) const {
+Destinations WlmConsensus::destinations(ProcessId leader_hint) const {
   if (leader_hint == self_ || leader_hint == kNoProcess) {
-    return SendSpec::all(n_);
+    return Destinations::all(n_);
   }
-  return {leader_hint};
+  return Destinations::one(leader_hint);
 }
 
 SendSpec WlmConsensus::make_send(ProcessId leader_hint) const {

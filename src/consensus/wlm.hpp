@@ -45,7 +45,7 @@ class WlmConsensus final : public Protocol {
 
  private:
   SendSpec make_send(ProcessId leader_hint) const;
-  std::vector<ProcessId> destinations(ProcessId leader_hint) const;
+  Destinations destinations(ProcessId leader_hint) const;
 
   const ProcessId self_;
   const int n_;

@@ -3,28 +3,69 @@
 // returning the next round's message and its destination set.
 #pragma once
 
+#include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "giraf/message.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace timing {
 
+/// A destination set D_i, held by value. Algorithm 2's procedure
+/// Destinations (lines 9-11) returns Pi to the process that trusts itself
+/// as leader and {leader} to every other process; the other protocols
+/// here broadcast to Pi, and Paxos sends its phase 1a/2a messages to Pi
+/// and everything else to one process. So D_i is always Pi or one
+/// process, both a run of consecutive ids, and a send needs no list and
+/// no heap. Iterates in ascending id order.
+class Destinations {
+ public:
+  /// The empty set.
+  Destinations() = default;
+  /// D_i = Pi.
+  static Destinations all(int n) noexcept { return Destinations(0, n); }
+  /// D_i = {p}.
+  static Destinations one(ProcessId p) noexcept {
+    return Destinations(p, p + 1);
+  }
+
+  class iterator {
+   public:
+    explicit iterator(ProcessId id) noexcept : id_(id) {}
+    ProcessId operator*() const noexcept { return id_; }
+    iterator& operator++() noexcept {
+      ++id_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    ProcessId id_;
+  };
+  using const_iterator = iterator;
+
+  iterator begin() const noexcept { return iterator(first_); }
+  iterator end() const noexcept { return iterator(last_); }
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(last_ - first_);
+  }
+  bool operator==(const Destinations&) const = default;
+
+ private:
+  Destinations(ProcessId first, ProcessId last) noexcept
+      : first_(first), last_(last) {}
+
+  ProcessId first_ = 0;  ///< the ids first_ .. last_ - 1
+  ProcessId last_ = 0;
+};
+
 /// What a protocol returns from initialize()/compute(): the message for
 /// the next round and the set D_i of destinations (Algorithm 1).
 struct SendSpec {
   Message msg;
-  /// Destinations; self is allowed in the list (the engine skips the
-  /// network for it - a process always receives its own message).
-  std::vector<ProcessId> dests;
-
-  /// Convenience: D_i = Pi.
-  static std::vector<ProcessId> all(int n) {
-    std::vector<ProcessId> d(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) d[static_cast<std::size_t>(i)] = i;
-    return d;
-  }
+  /// Destinations; self may be among them (the engine skips the network
+  /// for it - a process always receives its own message).
+  Destinations dests;
 };
 
 class Protocol {

@@ -20,6 +20,8 @@ ScheduleSampler::ScheduleSampler(const ScheduleConfig& cfg)
   TM_CHECK(cfg_.link_models.n() == 0 || cfg_.link_models.n() == cfg_.n,
            "link_models size must match the schedule's n");
   granular_ = cfg_.link_models.n() > 0 && !cfg_.link_models.all_sync();
+  alive_set_.reserve(static_cast<std::size_t>(cfg_.n));
+  candidates_.reserve(static_cast<std::size_t>(cfg_.n));
 }
 
 bool ScheduleSampler::alive(ProcessId i, Round k) const noexcept {
@@ -47,17 +49,35 @@ void ScheduleSampler::fill_random(LinkMatrix& out, double p) {
   }
 }
 
-void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
+// The same draws, in the same order, written as bits: each row is
+// cleared, then gets its self bit and its timely bits; a late or lost
+// cell keeps its bit 0 and has its fate stored in the delay plane.
+void ScheduleSampler::fill_random(PackedLinkMatrix& out, double p) {
+  for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
+    std::uint64_t* row = out.mutable_row_words(dst);
+    std::fill_n(row, out.words_per_row(), 0);
+    for (ProcessId src = 0; src < cfg_.n; ++src) {
+      if (src == dst || rng_.bernoulli(p)) {
+        out.set_timely(dst, src);
+      } else {
+        out.store_untimely(dst, src, untimely_fate());
+      }
+    }
+  }
+}
+
+template <class Matrix>
+void ScheduleSampler::repair_to_model(Matrix& out, Round k) {
   const int n = cfg_.n;
   const int maj = majority_size(n);
 
-  std::vector<ProcessId> alive_set;
+  alive_set_.clear();
   for (ProcessId i = 0; i < n; ++i) {
-    if (alive(i, k)) alive_set.push_back(i);
+    if (alive(i, k)) alive_set_.push_back(i);
   }
   // The models' premise: fewer than n/2 crashes, so a majority of
   // processes is always alive.
-  TM_CHECK(static_cast<int>(alive_set.size()) >= maj,
+  TM_CHECK(static_cast<int>(alive_set_.size()) >= maj,
            "schedule needs a correct majority");
 
   // Under a granular matrix only reliable links carry obligations (and
@@ -76,19 +96,19 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
   // the liveness expectation on exactly this).
   auto force_row_majority = [&](ProcessId dst) {
     int have = 0;
-    std::vector<ProcessId> candidates;
-    for (ProcessId s : alive_set) {
+    candidates_.clear();
+    for (ProcessId s : alive_set_) {
       if (!required(dst, s)) continue;
       if (out.timely(dst, s) || s == dst) {
         ++have;
       } else {
-        candidates.push_back(s);
+        candidates_.push_back(s);
       }
     }
-    for (std::size_t i = candidates.size(); i > 1; --i) {
-      std::swap(candidates[i - 1], candidates[rng_.uniform_int(i)]);
+    for (std::size_t i = candidates_.size(); i > 1; --i) {
+      std::swap(candidates_[i - 1], candidates_[rng_.uniform_int(i)]);
     }
-    for (ProcessId s : candidates) {
+    for (ProcessId s : candidates_) {
       if (have >= maj) break;
       out.set(dst, s, 0);
       ++have;
@@ -98,8 +118,8 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
   switch (cfg_.model) {
     case TimingModel::kEs:
       // All required links between correct processes timely.
-      for (ProcessId d : alive_set) {
-        for (ProcessId s : alive_set) {
+      for (ProcessId d : alive_set_) {
+        for (ProcessId s : alive_set_) {
           if (required(d, s)) out.set(d, s, 0);
         }
       }
@@ -108,7 +128,7 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
       for (ProcessId d = 0; d < n; ++d) {
         if (required(d, cfg_.leader)) out.set(d, cfg_.leader, 0);
       }
-      for (ProcessId d : alive_set) force_row_majority(d);
+      for (ProcessId d : alive_set_) force_row_majority(d);
       break;
     case TimingModel::kWlm:
       for (ProcessId d = 0; d < n; ++d) {
@@ -122,12 +142,12 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
         // majority-destination and majority-source requirements wherever
         // the reliable plane still can (the circulant below may land
         // required mass on async links, which count for nothing).
-        for (ProcessId d : alive_set) {
-          for (ProcessId s : alive_set) {
+        for (ProcessId d : alive_set_) {
+          for (ProcessId s : alive_set_) {
             if (required(d, s)) out.set(d, s, 0);
           }
         }
-      } else if (alive_set.size() == static_cast<std::size_t>(n)) {
+      } else if (alive_set_.size() == static_cast<std::size_t>(n)) {
         // Failure-free: a rotated circulant gives every row and column a
         // majority with mobile timely sets.
         const int rot = static_cast<int>(rng_.uniform_int(n));
@@ -141,8 +161,8 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
         // With crashes, conservatively make all alive<->alive links
         // timely (satisfies both the majority-destination and the
         // majority-source requirements w.r.t. correct processes).
-        for (ProcessId d : alive_set) {
-          for (ProcessId s : alive_set) out.set(d, s, 0);
+        for (ProcessId d : alive_set_) {
+          for (ProcessId s : alive_set_) out.set(d, s, 0);
         }
       }
       break;
@@ -150,13 +170,23 @@ void ScheduleSampler::repair_to_model(LinkMatrix& out, Round k) {
   }
 }
 
-void ScheduleSampler::sample_round(Round k, LinkMatrix& out) {
+template <class Matrix>
+void ScheduleSampler::sample(Round k, Matrix& out) {
   if (k < cfg_.gsr) {
     fill_random(out, cfg_.pre_gsr_p);
     return;
   }
   fill_random(out, cfg_.minimal ? 0.0 : cfg_.post_gsr_extra_p);
   repair_to_model(out, k);
+}
+
+void ScheduleSampler::sample_round(Round k, LinkMatrix& out) {
+  sample(k, out);
+}
+
+void ScheduleSampler::sample_round(Round k, PackedLinkMatrix& out) {
+  TM_CHECK(out.n() == cfg_.n, "matrix size must match the schedule's n");
+  sample(k, out);
 }
 
 }  // namespace timing

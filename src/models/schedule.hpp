@@ -10,6 +10,14 @@
 //  * minimal-conforming: ONLY the links the model demands are timely - the
 //    strongest adversary that still conforms (exercises worst cases; for
 //    <>WLM this is what separates Algorithm 2 from Paxos).
+//
+// The packed sample_round is the one the engine and the chaos and SMR
+// gates run: it draws each row straight into the bit plane and records
+// late/lost fates in the delay plane, and the repair edits bits. It
+// consumes the RNG in the scalar overload's per-cell (dst, src) order,
+// so both overloads give the same fates for the same seed; the scalar
+// one stays as the reference tests hold the packed one to. A warm round
+// allocates nothing: the repair's process lists are member scratch.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +60,18 @@ class ScheduleSampler final : public TimelinessSampler {
 
   int n() const noexcept override { return cfg_.n; }
   void sample_round(Round k, LinkMatrix& out) override;
-  // Keep the inherited packed overload visible (it routes through the
-  // scalar override above, so schedules pack with identical fates).
-  using TimelinessSampler::sample_round;
+  /// `out` must be n x n.
+  void sample_round(Round k, PackedLinkMatrix& out) override;
 
   const ScheduleConfig& config() const noexcept { return cfg_; }
 
  private:
+  template <class Matrix>
+  void sample(Round k, Matrix& out);
   void fill_random(LinkMatrix& out, double p);
-  void repair_to_model(LinkMatrix& out, Round k);
+  void fill_random(PackedLinkMatrix& out, double p);
+  template <class Matrix>
+  void repair_to_model(Matrix& out, Round k);
   bool alive(ProcessId i, Round k) const noexcept;
   Delay untimely_fate();
 
@@ -69,6 +80,10 @@ class ScheduleSampler final : public TimelinessSampler {
   /// True iff link_models names a non-all-sync matrix (the only case in
   /// which the repair deviates from the homogeneous path).
   bool granular_ = false;
+  /// repair_to_model's scratch: the processes alive in the round, and a
+  /// row's candidate sources.
+  std::vector<ProcessId> alive_set_;
+  std::vector<ProcessId> candidates_;
 };
 
 }  // namespace timing

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -75,9 +76,23 @@ int run_chaos_family(const ScenarioSpec& spec, const RunContext& ctx,
     TM_CHECK(lerr.empty(), "validate() admits only parseable link_models");
   }
 
+  /// What the table and the violation report read of one execution. A
+  /// ChaosRunResult also carries its TrialSummary (per-link counts and
+  /// decide events), which would stay alive for every trial until the
+  /// table is built.
+  struct Outcome {
+    bool safety_ok = true;
+    bool liveness_ok = true;
+    bool liveness_enforced = true;
+    Round global_decision_round = -1;
+    long long fault_events = 0;
+    std::string violation;
+
+    bool ok() const noexcept { return safety_ok && liveness_ok; }
+  };
   struct Trial {
     Round gsr = -1;
-    std::vector<fault::ChaosRunResult> per_kind;
+    std::vector<Outcome> per_kind;
   };
   const auto trials = run_trials<Trial>(
       static_cast<std::size_t>(spec.runs), [&](std::size_t t) {
@@ -97,7 +112,12 @@ int run_chaos_family(const ScenarioSpec& spec, const RunContext& ctx,
           // run could not be told apart from a slow one.
           cfg.max_rounds = std::max(
               spec.rounds_per_run, cfg.plan.gsr + fault::bound_after_gsr(k) + 2);
-          out.per_kind.push_back(fault::run_chaos_algorithm(k, cfg));
+          fault::ChaosRunResult r = fault::run_chaos_algorithm(k, cfg);
+          out.per_kind.push_back(Outcome{r.safety_ok, r.liveness_ok,
+                                         r.liveness_enforced,
+                                         r.global_decision_round,
+                                         r.summary.fault_events,
+                                         std::move(r.violation)});
         }
         return out;
       });
@@ -111,10 +131,10 @@ int run_chaos_family(const ScenarioSpec& spec, const RunContext& ctx,
   std::vector<std::string> violations;
   for (const Trial& trial : trials) {
     for (std::size_t i = 0; i < kinds.size(); ++i) {
-      const fault::ChaosRunResult& r = trial.per_kind[i];
+      const Outcome& r = trial.per_kind[i];
       KindTally& kt = tallies[i];
       ++kt.trials;
-      kt.fault_events += r.summary.fault_events;
+      kt.fault_events += r.fault_events;
       if (!r.safety_ok) ++kt.safety_violations;
       if (!r.liveness_ok) ++kt.liveness_violations;
       if (!r.liveness_enforced) ++kt.liveness_waived;

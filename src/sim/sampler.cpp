@@ -207,16 +207,6 @@ RoundRanks rank_round(std::span<const double> latency, int n,
   return out;
 }
 
-void TimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
-  // Generic fallback: sample through the scalar path (identical RNG
-  // consumption) and pack. The scratch is per-thread and reused, so pool
-  // workers never allocate per round after their first.
-  thread_local LinkMatrix scratch;
-  if (scratch.n() != n()) scratch = LinkMatrix(n());
-  sample_round(k, scratch);
-  out.assign_from(scratch);
-}
-
 FusedRoundEval TimelinessSampler::sample_round_and_evaluate(
     Round k, ProcessId leader, PackedLinkMatrix& out, ColumnDeficits& cols) {
   sample_round(k, out);

@@ -59,10 +59,11 @@ class TimelinessSampler {
   /// messages. Must be called with strictly increasing k.
   virtual void sample_round(Round k, LinkMatrix& out) = 0;
 
-  /// Packed-plane variant. The default samples into a per-thread scratch
-  /// LinkMatrix and packs it (same RNG consumption, so same fates); the
-  /// concrete samplers below fill the bit plane directly.
-  virtual void sample_round(Round k, PackedLinkMatrix& out);
+  /// Packed-plane variant: fills the bit plane of `out` (n x n) directly
+  /// and stores a fate in the delay plane only for a late or lost cell.
+  /// It consumes the RNG exactly as the scalar overload does, so both give
+  /// the same fates; the scalar one is the reference tests compare with.
+  virtual void sample_round(Round k, PackedLinkMatrix& out) = 0;
 
   /// Samples round k into `out` (packed sample_round), evaluates the four
   /// failure-free model predicates for `leader` with the kernel over the

@@ -39,7 +39,7 @@ TEST(WlmUnit, InitializeSendsPrepareToLeader) {
   EXPECT_EQ(s.msg.est, 7);
   EXPECT_EQ(s.msg.ts, 0);
   EXPECT_EQ(s.msg.leader, 3);
-  EXPECT_EQ(s.dests, (std::vector<ProcessId>{3}));
+  EXPECT_EQ(s.dests, Destinations::one(3));
 }
 
 TEST(WlmUnit, LeaderBroadcasts) {

@@ -44,8 +44,8 @@ class Probe final : public Protocol {
   SendSpec spec() const {
     Message m;
     m.est = self_ * 1000 + static_cast<Value>(rounds.size());
-    if (broadcast_) return SendSpec{m, SendSpec::all(n_)};
-    return SendSpec{m, {0}};  // everyone sends to p0 only
+    if (broadcast_) return SendSpec{m, Destinations::all(n_)};
+    return SendSpec{m, Destinations::one(0)};  // everyone sends to p0 only
   }
   ProcessId self_;
   int n_;

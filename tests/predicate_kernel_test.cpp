@@ -3,7 +3,8 @@
 // bit-for-bit with the scalar LinkMatrix oracles on randomized matrices
 // for every n in 1..65 and 127..130 (crossing the one-, two- and
 // three-word row boundaries), and the packed samplers must reproduce the
-// exact matrices of the scalar sample_round for the same RNG sub-stream.
+// exact matrices of the scalar sample_round for the same RNG sub-stream,
+// alone and under fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fault/chaos.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "models/link_model_matrix.hpp"
 #include "models/predicates.hpp"
 #include "models/schedule.hpp"
@@ -41,14 +45,29 @@ LinkMatrix random_matrix(int n, double p, Rng& rng) {
   return a;
 }
 
-void expect_same_matrix(const LinkMatrix& want, const PackedLinkMatrix& got) {
-  ASSERT_EQ(want.n(), got.n());
+/// Every cell of `got` has the fate of `want`, and every tail bit past
+/// column n - 1 is zero.
+::testing::AssertionResult same_fates(const LinkMatrix& want,
+                                      const PackedLinkMatrix& got) {
+  if (want.n() != got.n()) {
+    return ::testing::AssertionFailure() << "sizes differ";
+  }
   for (ProcessId d = 0; d < want.n(); ++d) {
     for (ProcessId s = 0; s < want.n(); ++s) {
-      ASSERT_EQ(want.at(d, s), got.at(d, s))
-          << "cell (" << d << ", " << s << ")";
+      if (want.at(d, s) != got.at(d, s)) {
+        return ::testing::AssertionFailure()
+               << "cell (" << d << ", " << s << "): scalar " << want.at(d, s)
+               << ", packed " << got.at(d, s);
+      }
+    }
+    for (int w = 0; w < got.words_per_row(); ++w) {
+      if ((got.row_words(d)[w] & ~got.word_mask(w)) != 0) {
+        return ::testing::AssertionFailure()
+               << "row " << d << " has tail bits set in word " << w;
+      }
     }
   }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(PackedLinkMatrix, SetAtRoundTripAndTailInvariant) {
@@ -80,7 +99,7 @@ TEST(PackedLinkMatrix, AssignFromCopyToRoundTrip) {
     const LinkMatrix a = random_matrix(n, 0.7, rng);
     PackedLinkMatrix q(n);
     q.assign_from(a);
-    expect_same_matrix(a, q);
+    ASSERT_TRUE(same_fates(a, q));
     LinkMatrix back;
     q.copy_to(back);
     for (ProcessId d = 0; d < n; ++d) {
@@ -154,7 +173,7 @@ TEST(FusedKernel, IidPackedSampleMatchesScalarSubstream) {
     for (Round k = 1; k <= 12; ++k) {
       scalar.sample_round(k, a);
       packed.sample_round(k, q);
-      expect_same_matrix(a, q);
+      ASSERT_TRUE(same_fates(a, q));
     }
   }
 }
@@ -170,7 +189,7 @@ TEST(FusedKernel, IidFusedReproducesScalarMatricesAndMask) {
     for (Round k = 1; k <= 12; ++k) {
       scalar.sample_round(k, a);
       const FusedRoundEval e = fused.sample_round_and_evaluate(k, leader, q, cols);
-      expect_same_matrix(a, q);
+      ASSERT_TRUE(same_fates(a, q));
       EXPECT_EQ(e.mask, evaluate_all(a, leader)) << "n=" << n << " k=" << k;
       // Fate tallies must match a scalar count over the off-diagonal.
       long long timely = 0, late = 0, lost = 0;
@@ -211,7 +230,7 @@ TEST(FusedKernel, LatencyFusedReproducesScalarMatricesAndMask) {
     for (Round k = 1; k <= 10; ++k) {
       scalar.sample_round(k, a);
       const FusedRoundEval e = fused.sample_round_and_evaluate(k, 0, q, cols);
-      expect_same_matrix(a, q);
+      ASSERT_TRUE(same_fates(a, q));
       EXPECT_EQ(e.mask, evaluate_all(a, 0)) << "n=" << n << " k=" << k;
     }
   }
@@ -244,7 +263,7 @@ TEST(FusedKernel, OneLatencyPlaneClassifiesAgainstEveryTimeout) {
         const FusedRoundEval e =
             classify_round(latency, timeouts[t], kDefaultMaxDelayRounds, q);
         scalar[t].sample_round(k, a);
-        expect_same_matrix(a, q);
+        ASSERT_TRUE(same_fates(a, q));
         FusedRoundEval want;
         tally_fates(q, want);
         EXPECT_EQ(e.timely, want.timely);
@@ -266,23 +285,112 @@ TEST(FusedKernel, LatencyPackedSampleMatchesScalarSubstream) {
   for (Round k = 1; k <= 10; ++k) {
     scalar.sample_round(k, a);
     packed.sample_round(k, q);
-    expect_same_matrix(a, q);
+    ASSERT_TRUE(same_fates(a, q));
   }
 }
 
-TEST(FusedKernel, ScheduleSamplerPackedFallbackMatchesScalar) {
-  ScheduleConfig cfg;
-  cfg.n = 7;
-  cfg.model = TimingModel::kWlm;
-  cfg.gsr = 3;
-  ScheduleSampler scalar(cfg);
-  ScheduleSampler packed(cfg);
-  LinkMatrix a(cfg.n);
-  PackedLinkMatrix q(cfg.n);
-  for (Round k = 1; k <= 8; ++k) {
-    scalar.sample_round(k, a);
-    packed.sample_round(k, q);  // base-class packed fallback
-    expect_same_matrix(a, q);
+
+/// Crash rounds for `n` processes: the spare minority crashes at random
+/// rounds in [1, last], the rest never do.
+std::vector<Round> random_crash_rounds(int n, Round last, Rng& rng) {
+  std::vector<Round> crash(static_cast<std::size_t>(n), 0);
+  for (int c = 0; c < n - majority_size(n); ++c) {
+    const auto i = rng.uniform_int(static_cast<std::uint64_t>(n));
+    crash[i] = 1 + static_cast<Round>(
+                       rng.uniform_int(static_cast<std::uint64_t>(last)));
+  }
+  return crash;
+}
+
+// The packed ScheduleSampler draws straight into the bit plane. Round by
+// round it must give the scalar reference's fates for every model, both
+// post-GSR flavours, with and without crashes, under no link matrix, an
+// all-sync one and a mixed one, for n on both sides of the row-word
+// boundaries, over rounds on both sides of GSR. One matrix per n takes
+// every run, so a row left uncleared or a repair reading a stale delay
+// plane shows up as a wrong cell.
+TEST(FusedKernel, ScheduleSamplerPackedMatchesScalar) {
+  constexpr Round kGsr = 20;
+  constexpr Round kRounds = 40;
+  Rng rng(0x5c7ed01eULL);
+  for (const int n : {2, 3, 5, 7, 63, 64, 65, 130}) {
+    PackedLinkMatrix q(n);
+    LinkMatrix a(n);
+    const std::array<LinkModelMatrix, 3> matrices = {
+        LinkModelMatrix(), LinkModelMatrix(n),
+        LinkModelMatrix::mixed(n, 0.25, 0.3, rng.next())};
+    for (const LinkModelMatrix& links : matrices) {
+      for (const bool crashes : {false, true}) {
+        for (const TimingModel model :
+             {TimingModel::kEs, TimingModel::kLm, TimingModel::kWlm,
+              TimingModel::kAfm}) {
+          for (const bool minimal : {false, true}) {
+            ScheduleConfig cfg;
+            cfg.n = n;
+            cfg.model = model;
+            cfg.leader = static_cast<ProcessId>(
+                rng.uniform_int(static_cast<std::uint64_t>(n)));
+            cfg.gsr = kGsr;
+            cfg.minimal = minimal;
+            cfg.seed = rng.next();
+            if (crashes) cfg.crash_rounds = random_crash_rounds(n, kRounds, rng);
+            cfg.link_models = links;
+            ScheduleSampler scalar(cfg);
+            ScheduleSampler packed(cfg);
+            for (Round k = 1; k <= kRounds; ++k) {
+              scalar.sample_round(k, a);
+              packed.sample_round(k, q);
+              ASSERT_TRUE(same_fates(a, q))
+                  << "n=" << n << " model=" << to_string(model)
+                  << " minimal=" << minimal << " crashes=" << crashes
+                  << " links=" << links.n() << " round " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same under the chaos gates' composition: a FaultInjector editing
+// each round of a schedule drawn under a random fault plan.
+TEST(FusedKernel, FaultInjectedSchedulePackedMatchesScalar) {
+  constexpr int kN = 5;
+  constexpr Round kRounds = 40;
+  PackedLinkMatrix q(kN);
+  LinkMatrix a(kN);
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const ProcessId leader = static_cast<ProcessId>(seed % kN);
+    const fault::FaultPlan plan = fault::random_fault_plan(kN, leader, seed);
+    for (const TimingModel model :
+         {TimingModel::kEs, TimingModel::kLm, TimingModel::kWlm,
+          TimingModel::kAfm}) {
+      ScheduleConfig cfg;
+      cfg.n = kN;
+      cfg.model = model;
+      cfg.leader = leader;
+      cfg.gsr = plan.gsr;
+      cfg.seed = seed;
+      cfg.crash_rounds = fault::crash_rounds(plan, kN);
+      fault::InjectorConfig icfg;
+      icfg.n = kN;
+      icfg.leader = leader;
+      icfg.seed = seed;
+      ScheduleSampler scalar_schedule(cfg);
+      ScheduleSampler packed_schedule(cfg);
+      fault::FaultInjector scalar_injector(plan, icfg);
+      fault::FaultInjector packed_injector(plan, icfg);
+      fault::FaultInjectedSampler scalar(scalar_schedule, scalar_injector);
+      fault::FaultInjectedSampler packed(packed_schedule, packed_injector);
+      for (Round k = 1; k <= kRounds; ++k) {
+        scalar.sample_round(k, a);
+        packed.sample_round(k, q);
+        ASSERT_TRUE(same_fates(a, q))
+            << "plan seed " << seed << " model=" << to_string(model)
+            << " round " << k << "\n"
+            << plan.spec();
+      }
+    }
   }
 }
 

@@ -30,6 +30,7 @@ class TimelySampler final : public TimelinessSampler {
   explicit TimelySampler(int n) : n_(n) {}
   int n() const noexcept override { return n_; }
   void sample_round(Round, LinkMatrix& out) override { out.fill(0); }
+  void sample_round(Round, PackedLinkMatrix& out) override { out.fill(0); }
 
  private:
   int n_;
@@ -42,6 +43,10 @@ class LostUntilSampler final : public TimelinessSampler {
   LostUntilSampler(int n, Round until) : n_(n), until_(until) {}
   int n() const noexcept override { return n_; }
   void sample_round(Round k, LinkMatrix& out) override {
+    out.fill(k < until_ ? kLost : Delay{0});
+    for (ProcessId i = 0; i < n_; ++i) out.set(i, i, 0);
+  }
+  void sample_round(Round k, PackedLinkMatrix& out) override {
     out.fill(k < until_ ? kLost : Delay{0});
     for (ProcessId i = 0; i < n_; ++i) out.set(i, i, 0);
   }

@@ -199,10 +199,10 @@ TEST(RoundSync, HonoursMaxRounds) {
    public:
     explicit NeverDecides(int n) : n_(n) {}
     SendSpec initialize(ProcessId) override {
-      return {Message{}, SendSpec::all(n_)};
+      return {Message{}, Destinations::all(n_)};
     }
     SendSpec compute(Round, const RoundMsgs&, ProcessId) override {
-      return {Message{}, SendSpec::all(n_)};
+      return {Message{}, Destinations::all(n_)};
     }
     bool has_decided() const noexcept override { return false; }
     Value decision() const noexcept override { return kNoValue; }
