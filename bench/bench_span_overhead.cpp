@@ -46,7 +46,10 @@ using BenchClock = std::chrono::steady_clock;
 // round work, small enough to finish in milliseconds.
 constexpr int kN = 16;
 constexpr int kCommands = 300;  // consensus instances per configuration
-constexpr int kReps = 7;        // best-of to shed scheduler noise
+// Best-of to shed scheduler noise. The timed share compares a ~0.5 ms
+// span cost with a ~10 ms base, so each mode's minimum has to settle to
+// well under 1% of the base; that takes many reps.
+constexpr int kReps = 21;
 #ifdef TIMING_BENCH_SANITIZED
 constexpr double kBudgetScale = 3.0;
 #else

@@ -15,6 +15,9 @@ using fault::FaultEvent;
 using fault::FaultKind;
 using fault::FaultPlan;
 
+/// Most non-gsr statements an addition may grow a plan to.
+constexpr int kMaxEvents = 12;
+
 /// Inclusive uniform draw in [lo, hi].
 Round rand_round(Rng& rng, Round lo, Round hi) {
   TM_CHECK(lo <= hi, "empty round range");
@@ -128,7 +131,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
   const Round gsr = p.gsr;
   switch (op) {
     case Op::kAddCrash: {
-      if (non_gsr_events(p) >= cfg.max_events) return false;
+      if (non_gsr_events(p) >= kMaxEvents) return false;
       FaultEvent e;
       e.kind = FaultKind::kCrash;
       e.proc = rand_proc(rng, cfg.n);
@@ -137,7 +140,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       return true;
     }
     case Op::kAddRecoverableCrash: {
-      if (non_gsr_events(p) + 1 >= cfg.max_events || gsr < 3) return false;
+      if (non_gsr_events(p) + 1 >= kMaxEvents || gsr < 3) return false;
       FaultEvent crash;
       crash.kind = FaultKind::kCrash;
       crash.proc = rand_proc(rng, cfg.n);
@@ -155,7 +158,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       return true;
     }
     case Op::kAddPartition: {
-      if (non_gsr_events(p) >= cfg.max_events) return false;
+      if (non_gsr_events(p) >= kMaxEvents) return false;
       FaultEvent e;
       e.kind = FaultKind::kPartition;
       e.groups = rand_cut(rng, cfg.n);
@@ -165,7 +168,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       return true;
     }
     case Op::kAddDrop: {
-      if (non_gsr_events(p) >= cfg.max_events) return false;
+      if (non_gsr_events(p) >= kMaxEvents) return false;
       FaultEvent e;
       e.kind = FaultKind::kDrop;
       e.src = rng.bernoulli(0.25) ? kNoProcess : rand_proc(rng, cfg.n);
@@ -177,7 +180,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       return true;
     }
     case Op::kAddDelay: {
-      if (non_gsr_events(p) >= cfg.max_events) return false;
+      if (non_gsr_events(p) >= kMaxEvents) return false;
       FaultEvent e;
       e.kind = FaultKind::kDelay;
       e.src = rand_proc(rng, cfg.n);
@@ -189,7 +192,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       return true;
     }
     case Op::kAddSuppress: {
-      if (non_gsr_events(p) >= cfg.max_events) return false;
+      if (non_gsr_events(p) >= kMaxEvents) return false;
       FaultEvent e;
       e.kind = FaultKind::kSuppressLeader;
       std::tie(e.from, e.to) = rand_window(rng, gsr);
@@ -240,7 +243,7 @@ bool apply(Op op, Candidate& c, const MutationConfig& cfg, Rng& rng) {
       Round d = rand_round(rng, -2, 2);
       if (d == 0) d = 1;
       const Round next = p.gsr + d;
-      if (next < 3 || next > cfg.max_gsr) return false;
+      if (next < 3 || next > kMaxGsr) return false;
       p.gsr = next;
       p.events.back().from = next;  // the terminal marker mirrors the field
       return true;

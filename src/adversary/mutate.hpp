@@ -37,6 +37,9 @@
 
 namespace timing::adversary {
 
+/// A mutated plan's gsr stays in [3, kMaxGsr].
+inline constexpr Round kMaxGsr = 24;
+
 struct MutationConfig {
   int n = 5;
   ProcessId leader = 0;
@@ -44,8 +47,6 @@ struct MutationConfig {
   /// algorithm's native model (all-alive), or the degenerate "starve every
   /// link, never owe liveness" candidate would dominate the search.
   AlgorithmKind algorithm = AlgorithmKind::kPaxos;
-  Round max_gsr = 24;      ///< gsr stays in [3, max_gsr]
-  int max_events = 12;     ///< non-gsr statements per plan
   bool mutate_links = true;///< enable degrade/upgrade link edits
   int attempts = 8;        ///< validation retries before returning parent
   /// Matrix every seed candidate starts from; n() == 0 means all-sync.

@@ -16,6 +16,25 @@ constexpr std::uint64_t kSeedSalt = 0x5eed;
 constexpr std::uint64_t kMutateSalt = 0x3017a7e;
 constexpr std::uint64_t kAcceptSalt = 0xacce97;
 
+/// Annealing schedule, in score units (mean rounds): the temperature
+/// starts at kT0 and cools geometrically by kCooling per generation down
+/// to kTMin.
+constexpr double kT0 = 1.0;
+constexpr double kTMin = 0.02;
+constexpr double kCooling = 0.95;
+/// Acceptance credit for a coverage signature no evaluation showed yet.
+constexpr double kNoveltyBonus = 0.25;
+/// A fresh uniform seed instead of a mutation.
+constexpr double kRestartP = 0.15;
+/// A mutation of a random current elite instead of the walker's chain.
+constexpr double kExploitP = 0.3;
+
+/// The temperature is a pure function of the generation index.
+double temperature(long long generation) noexcept {
+  return std::max(kTMin,
+                  kT0 * std::pow(kCooling, static_cast<double>(generation)));
+}
+
 std::uint64_t stream(std::uint64_t root, std::uint64_t salt, long long gen,
                      int walker) {
   return substream_seed(substream_seed(root ^ salt,
@@ -28,15 +47,7 @@ std::uint64_t stream(std::uint64_t root, std::uint64_t salt, long long gen,
 AdversarySearch::AdversarySearch(SearchConfig cfg) : cfg_(cfg) {
   TM_CHECK(cfg_.walkers >= 1, "search needs at least one walker");
   TM_CHECK(cfg_.elites >= 1, "search needs room for at least one elite");
-  TM_CHECK(cfg_.t0 >= cfg_.t_min && cfg_.t_min > 0.0,
-           "search temperatures must satisfy t0 >= t_min > 0");
   walkers_.resize(static_cast<std::size_t>(cfg_.walkers));
-}
-
-double AdversarySearch::temperature(long long generation) const noexcept {
-  return std::max(cfg_.t_min,
-                  cfg_.t0 * std::pow(cfg_.cooling,
-                                     static_cast<double>(generation)));
 }
 
 void AdversarySearch::run(long long evaluations) {
@@ -61,12 +72,12 @@ void AdversarySearch::step() {
       continue;
     }
     Rng rng(stream(cfg_.seed, kMutateSalt, g, w));
-    if (rng.bernoulli(cfg_.restart_p)) {
+    if (rng.bernoulli(kRestartP)) {
       // A fresh uniform draw: the hunt strictly contains sampling.
       proposals[wi] = seed_candidate(cfg_.mut, stream(cfg_.seed, kSeedSalt, g, w));
       continue;
     }
-    if (!elites_.empty() && rng.bernoulli(cfg_.exploit_p)) {
+    if (!elites_.empty() && rng.bernoulli(kExploitP)) {
       const std::size_t e = rng.uniform_int(elites_.size());
       proposals[wi] = mutate(elites_[e].candidate, cfg_.mut, rng);
       continue;
@@ -85,7 +96,7 @@ void AdversarySearch::step() {
     const bool rejected = f.score <= kRejectScore;
     const bool novel =
         !rejected && seen_signatures_.insert(f.signature).second;
-    const double adjusted = f.score + (novel ? cfg_.novelty_bonus : 0.0);
+    const double adjusted = f.score + (novel ? kNoveltyBonus : 0.0);
     if (!rejected) offer_elite(proposals[wi], f, w);
 
     Walker& walker = walkers_[wi];

@@ -21,11 +21,12 @@
 // noise.
 //
 // Two proposal kinds besides plain mutation keep the hunt global:
-// restarts (probability restart_p: a fresh uniform seed candidate, so
-// the search never covers less of the space than sampling does) and
-// elite exploits (probability exploit_p: mutate a current elite instead
-// of the walker's own chain, concentrating budget around the best basins
-// found so far).
+// restarts (a fresh uniform seed candidate, so the search never covers
+// less of the space than sampling does) and elite exploits (mutate a
+// current elite instead of the walker's own chain, concentrating budget
+// around the best basins found so far). The annealing schedule, the
+// novelty bonus and both proposal probabilities are constants in
+// search.cpp.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +45,6 @@ struct SearchConfig {
   std::uint64_t seed = 1;
   int walkers = 16;
   int elites = 8;
-  double t0 = 1.0;       ///< initial temperature (score units: mean rounds)
-  double t_min = 0.02;
-  double cooling = 0.95; ///< per-generation geometric factor
-  double novelty_bonus = 0.25;
-  double restart_p = 0.15;  ///< fresh uniform seed instead of a mutation
-  double exploit_p = 0.3;   ///< mutate a random current elite instead
 };
 
 struct Elite {
@@ -80,7 +75,6 @@ class AdversarySearch {
   std::size_t signatures_seen() const noexcept {
     return seen_signatures_.size();
   }
-  double temperature(long long generation) const noexcept;
 
  private:
   void step();

@@ -32,9 +32,12 @@
 //    unanimous -> everyone commits; round GSR+2 everyone sees a majority
 //    of fresh COMMITs -> global decision by GSR+2 (3 rounds).
 //  * AFM: maxTS/maxEST information spreads through intersecting
-//    majorities; the estimate stabilises within ~2 rounds of GSR and the
-//    commit+decide tail adds 2 more, meeting [19]'s 5-round figure on the
-//    schedules we generate (see DESIGN.md section 6 for the caveat).
+//    majorities; the estimate is meant to stabilise within ~2 rounds of
+//    GSR, with the commit+decide tail adding 2 more for [19]'s 5-round
+//    figure. That is a sketch, not a proof, and it does not always hold:
+//    the plan "partition 0,1,2|3,4 @1..6; gsr @7" at n = 5, leader 0,
+//    pre-GSR p = 0.40 and seed 2552169153879729354 decides at GSR+8
+//    (DESIGN.md section 7; ROADMAP item 1 tracks the fix).
 #pragma once
 
 #include "giraf/protocol.hpp"

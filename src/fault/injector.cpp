@@ -17,6 +17,18 @@ constexpr Round kForever = std::numeric_limits<Round>::max();
 /// int16 fate range.
 constexpr Delay kMaxInjectedDelay = 16384;
 
+/// Length of a sim-path round in ms, which converts delay amounts into
+/// extra rounds of lateness.
+constexpr double kRoundMs = 1.0;
+
+/// Extra rounds of lateness for `ms` of injected delay:
+/// max(1, ceil(ms / kRoundMs)), capped at kMaxInjectedDelay.
+Delay delay_rounds(double ms) noexcept {
+  const double rounds = std::ceil(ms / kRoundMs);
+  return static_cast<Delay>(std::min<double>(
+      std::max(1.0, rounds), static_cast<double>(kMaxInjectedDelay)));
+}
+
 bool in_window(Round k, Round from, Round to) noexcept {
   return k >= from && k < to;
 }
@@ -50,7 +62,6 @@ int group_of(const std::vector<std::vector<ProcessId>>& groups, ProcessId p) {
 FaultInjector::FaultInjector(const FaultPlan& plan, const InjectorConfig& cfg)
     : plan_(plan), cfg_(cfg) {
   TM_CHECK(cfg_.n >= 2, "injector needs n >= 2");
-  TM_CHECK(cfg_.round_ms > 0.0, "round_ms must be positive");
 
   first_active_ = kForever;
   last_active_ = 0;
@@ -161,9 +172,7 @@ Delay FaultInjector::link_fate(Round k, ProcessId src,
   }
   const double ms = extra_delay_ms(k, src, dst);
   if (ms <= 0.0) return 0;
-  const double rounds = std::ceil(ms / cfg_.round_ms);
-  return static_cast<Delay>(std::min<double>(
-      std::max(1.0, rounds), static_cast<double>(kMaxInjectedDelay)));
+  return delay_rounds(ms);
 }
 
 void FaultInjector::emit_transitions(Round k) {
@@ -254,9 +263,7 @@ void FaultInjector::apply_impl(Round k, Matrix& a) {
       }
       case FaultKind::kDelay: {
         if (!in_window(k, e.from, e.to)) break;
-        const double rounds = std::ceil(e.extra_ms / cfg_.round_ms);
-        const Delay extra = static_cast<Delay>(std::min<double>(
-            std::max(1.0, rounds), static_cast<double>(kMaxInjectedDelay)));
+        const Delay extra = delay_rounds(e.extra_ms);
         for (ProcessId src = 0; src < n; ++src) {
           if (e.src != kNoProcess && e.src != src) continue;
           for (ProcessId dst = 0; dst < n; ++dst) {

@@ -23,9 +23,6 @@ struct InjectorConfig {
   ProcessId leader = kNoProcess;
   /// Salt for the counter-based drop coin flips.
   std::uint64_t seed = 0;
-  /// Sim-path ms-per-round used to convert delay amounts into extra
-  /// rounds of lateness (max(1, ceil(extra_ms / round_ms))).
-  double round_ms = 1.0;
   /// Optional: FaultInjected events for every edit actually made.
   TraceSink* sink = nullptr;
 };

@@ -70,7 +70,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
     std::uint8_t mask = 0;
     {
       PhaseTimer t(metrics, "phase.predicates");
-      mask = evaluate_all(a, leader, nullptr, trace, r);
+      mask = evaluate_all(a, leader, trace, r);
     }
     for (TimingModel m : kAllModels) {
       const int idx = model_index(m);
@@ -433,8 +433,7 @@ std::vector<GranularStreamedRun> measure_run_sweep(
   for (int r = 1; r <= rounds; ++r) {
     draw_latency_round(model, r, latency);
     const RoundRanks ranks =
-        rank_round(latency, n, sorted, kDefaultMaxDelayRounds, leader,
-                   classes, scratch, tallies);
+        rank_round(latency, n, sorted, leader, classes, scratch, tallies);
     for (std::size_t t = 0; t < acc.size(); ++t) {
       acc[t].observe(ranks.sat_at(sorted_at[t]),
                      g == nullptr ? 0 : ranks.csat_at(sorted_at[t]));

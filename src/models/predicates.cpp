@@ -130,13 +130,7 @@ std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
 }
 
 std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
-                          const CorrectMask* correct, TraceSink* sink,
-                          Round k) {
-  if (correct != nullptr) {
-    LinkMatrix unpacked;
-    a.copy_to(unpacked);
-    return evaluate_all(unpacked, leader, correct, sink, k);
-  }
+                          TraceSink* sink, Round k) {
   TM_CHECK(leader >= 0 && leader < a.n(), "leader out of range");
   // Per-thread scratch, so the hot path never allocates.
   thread_local ColumnDeficits cols;

@@ -65,10 +65,9 @@ std::uint8_t evaluate_all(const LinkMatrix& a, ProcessId leader,
                           TraceSink* sink = nullptr, Round k = 0);
 
 /// Packed path: one sweep of the kernel over the all-sync planes (see
-/// sim/packed_eval.hpp). Identical mask and trace event. A crash mask is
-/// evaluated by the scalar oracle on an unpacked copy.
+/// sim/packed_eval.hpp), every process correct. Identical mask and trace
+/// event.
 std::uint8_t evaluate_all(const PackedLinkMatrix& a, ProcessId leader,
-                          const CorrectMask* correct = nullptr,
                           TraceSink* sink = nullptr, Round k = 0);
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,16 @@
 
 namespace timing {
 
+namespace {
+
+/// Post-GSR timeliness of the links the model does not require (before
+/// the repair forces the required ones), unless the schedule is minimal.
+constexpr double kPostGsrExtraP = 0.5;
+/// Share of untimely messages that are lost rather than late.
+constexpr double kUntimelyLossShare = 0.4;
+
+}  // namespace
+
 ScheduleSampler::ScheduleSampler(const ScheduleConfig& cfg)
     : cfg_(cfg), rng_(cfg.seed) {
   TM_CHECK(cfg_.n > 1, "schedule needs n > 1");
@@ -31,7 +41,7 @@ bool ScheduleSampler::alive(ProcessId i, Round k) const noexcept {
 }
 
 Delay ScheduleSampler::untimely_fate() {
-  if (rng_.bernoulli(cfg_.untimely_loss_share)) return kLost;
+  if (rng_.bernoulli(kUntimelyLossShare)) return kLost;
   Delay d = 1;
   while (rng_.bernoulli(0.4) && d < 8) ++d;
   return d;
@@ -176,7 +186,7 @@ void ScheduleSampler::sample(Round k, Matrix& out) {
     fill_random(out, cfg_.pre_gsr_p);
     return;
   }
-  fill_random(out, cfg_.minimal ? 0.0 : cfg_.post_gsr_extra_p);
+  fill_random(out, cfg_.minimal ? 0.0 : kPostGsrExtraP);
   repair_to_model(out, k);
 }
 

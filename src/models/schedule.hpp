@@ -37,8 +37,6 @@ struct ScheduleConfig {
   Round gsr = 1;            ///< first round whose matrix conforms
   double pre_gsr_p = 0.3;   ///< pre-GSR per-link timeliness probability
   bool minimal = false;     ///< minimal-conforming post-GSR
-  double post_gsr_extra_p = 0.5;  ///< baseline timeliness of non-required links
-  double untimely_loss_share = 0.4;  ///< untimely messages lost vs late
   std::uint64_t seed = 1;
   /// Crash round per process (0 or negative = never crashes). The models
   /// demand timely links FROM CORRECT processes ("it has j timely

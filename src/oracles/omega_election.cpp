@@ -6,14 +6,19 @@
 
 namespace timing {
 
+namespace {
+
+/// Consecutive silent rounds before the trusted leader is punished.
+constexpr int kMissThreshold = 2;
+
+}  // namespace
+
 OmegaElection::OmegaElection(ProcessId self, int n,
-                             std::unique_ptr<Protocol> inner,
-                             ElectionConfig cfg)
-    : self_(self), n_(n), cfg_(cfg), inner_(std::move(inner)),
+                             std::unique_ptr<Protocol> inner)
+    : self_(self), n_(n), inner_(std::move(inner)),
       punish_(static_cast<std::size_t>(n), 0), leader_(0) {
   TM_CHECK(inner_ != nullptr, "inner protocol required");
   TM_CHECK(n > 1, "election needs n > 1");
-  TM_CHECK(cfg_.miss_threshold >= 1, "miss threshold must be positive");
 }
 
 ProcessId OmegaElection::recompute_leader() const noexcept {
@@ -49,7 +54,7 @@ SendSpec OmegaElection::compute(Round k, const RoundMsgs& received,
   if (leader_ != self_) {
     if (received[static_cast<std::size_t>(leader_)].has_value()) {
       missed_ = 0;
-    } else if (++missed_ >= cfg_.miss_threshold) {
+    } else if (++missed_ >= kMissThreshold) {
       ++punish_[static_cast<std::size_t>(leader_)];
       missed_ = 0;
     }

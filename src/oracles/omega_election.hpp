@@ -12,9 +12,9 @@
 //    every received message's vector;
 //  * the trusted leader is argmin_j (punish[j], j) - lexicographic, so
 //    ties break by process id;
-//  * when the trusted leader's messages have been missing for
-//    `miss_threshold` consecutive rounds, i punishes it (increments its
-//    counter) and immediately re-evaluates.
+//  * when the trusted leader's messages have been missing for 2
+//    consecutive rounds, i punishes it (increments its counter) and
+//    immediately re-evaluates: one lost message is tolerated.
 //
 // Stabilization argument: once the network stabilizes, some process g is
 // an eventual n-source (the <>WLM premise). Whenever g is trusted by
@@ -40,17 +40,9 @@
 
 namespace timing {
 
-struct ElectionConfig {
-  /// Consecutive silent rounds before the trusted leader is punished.
-  /// 1 = punish on the first miss (fastest, twitchy); the default
-  /// tolerates one lost message.
-  int miss_threshold = 2;
-};
-
 class OmegaElection final : public Protocol {
  public:
-  OmegaElection(ProcessId self, int n, std::unique_ptr<Protocol> inner,
-                ElectionConfig cfg = {});
+  OmegaElection(ProcessId self, int n, std::unique_ptr<Protocol> inner);
 
   SendSpec initialize(ProcessId leader_hint) override;
   SendSpec compute(Round k, const RoundMsgs& received,
@@ -80,8 +72,8 @@ class OmegaElection final : public Protocol {
   std::unique_ptr<Protocol> clone() const override {
     auto inner_copy = inner_->clone();
     if (!inner_copy) return nullptr;
-    auto copy = std::make_unique<OmegaElection>(self_, n_,
-                                                std::move(inner_copy), cfg_);
+    auto copy =
+        std::make_unique<OmegaElection>(self_, n_, std::move(inner_copy));
     copy->punish_ = punish_;
     copy->missed_ = missed_;
     copy->leader_ = leader_;
@@ -93,7 +85,6 @@ class OmegaElection final : public Protocol {
 
   const ProcessId self_;
   const int n_;
-  const ElectionConfig cfg_;
   std::unique_ptr<Protocol> inner_;
   std::vector<Timestamp> punish_;
   int missed_ = 0;  ///< consecutive rounds without the trusted leader

@@ -10,12 +10,14 @@ namespace timing {
 
 namespace {
 
+/// Share of the IID sampler's untimely messages that are lost outright.
+constexpr double kLossShare = 0.25;
+
 /// Fate of one message with latency `ms` in rounds of `timeout_ms`.
-Delay classify_latency(double ms, double timeout_ms,
-                       int max_delay_rounds) noexcept {
+Delay classify_latency(double ms, double timeout_ms) noexcept {
   if (!std::isfinite(ms)) return kLost;
   if (ms <= timeout_ms) return 0;
-  if (lost_in_flight(ms, timeout_ms, max_delay_rounds)) return kLost;
+  if (lost_in_flight(ms, timeout_ms)) return kLost;
   // Rounds last `timeout`; a message sent at the start of round k with
   // latency L lands in round k + floor(L / timeout).
   return static_cast<Delay>(std::floor(ms / timeout_ms));
@@ -28,19 +30,17 @@ struct LinkRanks {
   int lost = 0;
 };
 
-LinkRanks rank_latency(double ms, const double* t, int m,
-                       int max_delay_rounds) {
+LinkRanks rank_latency(double ms, const double* t, int m) {
   if (!std::isfinite(ms)) return {m, m};
   // The count of timeouts below ms is the first index it is within.
   // Branch-free; the NaN guard above keeps NaN from counting as timely.
   LinkRanks r;
   for (int i = 0; i < m; ++i) r.timely += t[i] < ms ? 1 : 0;
-  if (lost_in_flight(ms, t[0], max_delay_rounds)) {
+  if (lost_in_flight(ms, t[0])) {
     r.lost = static_cast<int>(
         std::partition_point(t + 1, t + r.timely,
                              [&](double timeout) {
-                               return lost_in_flight(ms, timeout,
-                                                     max_delay_rounds);
+                               return lost_in_flight(ms, timeout);
                              }) -
         t);
   }
@@ -85,9 +85,8 @@ std::vector<FusedRoundEval> RankTallies::fates() const {
 
 RoundRanks rank_round(std::span<const double> latency, int n,
                       std::span<const double> sorted_timeouts,
-                      int max_delay_rounds, ProcessId leader,
-                      const GranularPlanes& classes, RankScratch& s,
-                      RankTallies& tallies) {
+                      ProcessId leader, const GranularPlanes& classes,
+                      RankScratch& s, RankTallies& tallies) {
   TM_CHECK(n >= 1 && latency.size() == static_cast<std::size_t>(n) * n,
            "latency plane size must be n x n");
   TM_CHECK(leader >= 0 && leader < n, "leader out of range");
@@ -135,7 +134,7 @@ RoundRanks rank_round(std::span<const double> latency, int n,
   for (std::size_t j = 0; j < later; ++j) {
     const auto [dst, src] = s.later[j];
     const std::size_t cell = static_cast<std::size_t>(dst) * n + src;
-    const LinkRanks r = rank_latency(latency[cell], t, m, max_delay_rounds);
+    const LinkRanks r = rank_latency(latency[cell], t, m);
     ++tallies.timely[static_cast<std::size_t>(r.timely)];
     ++tallies.lost[static_cast<std::size_t>(r.lost)];
     s.rank[cell] = r.timely;
@@ -259,8 +258,7 @@ void draw_latency_round(LatencyModel& model, Round k,
 }
 
 FusedRoundEval classify_round(std::span<const double> latency,
-                              double timeout_ms, int max_delay_rounds,
-                              PackedLinkMatrix& out) {
+                              double timeout_ms, PackedLinkMatrix& out) {
   const int n = out.n();
   TM_CHECK(latency.size() == static_cast<std::size_t>(n) * n,
            "latency plane size must match the matrix");
@@ -274,7 +272,7 @@ FusedRoundEval classify_round(std::span<const double> latency,
         out.set_timely(dst, src);
         continue;
       }
-      const Delay d = classify_latency(*cell, timeout_ms, max_delay_rounds);
+      const Delay d = classify_latency(*cell, timeout_ms);
       if (d == 0) {
         out.set_timely(dst, src);
         ++eval.timely;
@@ -292,23 +290,9 @@ FusedRoundEval classify_round(std::span<const double> latency,
 }
 
 LatencyTimelinessSampler::LatencyTimelinessSampler(LatencyModel& model,
-                                                   double timeout_ms,
-                                                   int max_delay_rounds)
-    : model_(model), timeout_ms_(timeout_ms),
-      max_delay_rounds_(max_delay_rounds) {
+                                                   double timeout_ms)
+    : model_(model), timeout_ms_(timeout_ms) {
   TM_CHECK(timeout_ms > 0.0, "timeout must be positive");
-}
-
-void LatencyTimelinessSampler::draw(Round k) {
-  draw_latency_round(model_, k, latency_);
-  if (!sink_) return;
-  const int n = model_.n();
-  const double* cell = latency_.data();
-  for (ProcessId dst = 0; dst < n; ++dst) {
-    for (ProcessId src = 0; src < n; ++src, ++cell) {
-      if (src != dst) sink_(src, dst, *cell);
-    }
-  }
 }
 
 void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
@@ -322,28 +306,26 @@ void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
         out.set(dst, src, 0);  // a process always "receives" its own message
         continue;
       }
-      const double ms = model_.sample_ms(src, dst);
-      if (sink_) sink_(src, dst, ms);
-      out.set(dst, src, classify_latency(ms, timeout_ms_, max_delay_rounds_));
+      out.set(dst, src,
+              classify_latency(model_.sample_ms(src, dst), timeout_ms_));
     }
   }
 }
 
 void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
-  draw(k);
-  classify_round(latency_, timeout_ms_, max_delay_rounds_, out);
+  draw_latency_round(model_, k, latency_);
+  classify_round(latency_, timeout_ms_, out);
 }
 
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
-                                           std::uint64_t seed,
-                                           double loss_share)
-    : n_(n), p_(p), loss_share_(loss_share), rng_(seed) {
+                                           std::uint64_t seed)
+    : n_(n), p_(p), rng_(seed) {
   TM_CHECK(n > 1, "IID sampler needs n > 1");
   TM_CHECK(p >= 0.0 && p <= 1.0, "p must be a probability");
 }
 
 Delay IidTimelinessSampler::untimely_fate() {
-  if (rng_.bernoulli(loss_share_)) return kLost;
+  if (rng_.bernoulli(kLossShare)) return kLost;
   Delay d = 1;
   while (rng_.bernoulli(0.4) && d < 16) ++d;
   return d;

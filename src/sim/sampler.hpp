@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cmath>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -78,22 +77,16 @@ class TimelinessSampler {
 /// from popcounts, late/lost from the (rare) complement bits.
 void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval);
 
-/// Observer invoked for every sampled latency; used by the harness to
-/// measure p (the fraction of timely messages) alongside the matrices.
-using LatencySink =
-    std::function<void(ProcessId src, ProcessId dst, double ms)>;
-
 /// Rounds a straggler may stay in flight before it counts as lost (keeps
 /// engine queues bounded).
-inline constexpr int kDefaultMaxDelayRounds = 64;
+inline constexpr int kMaxDelayRounds = 64;
 
 /// The lost edge: a message of finite latency `ms` that missed its round
 /// of `timeout_ms` lands floor(ms / timeout_ms) rounds late, and is lost
-/// past `max_delay_rounds`. For ms > 0 it holds for a prefix of any
+/// past kMaxDelayRounds. For ms > 0 it holds for a prefix of any
 /// ascending timeout list.
-inline bool lost_in_flight(double ms, double timeout_ms,
-                           int max_delay_rounds) noexcept {
-  return std::floor(ms / timeout_ms) > max_delay_rounds;
+inline bool lost_in_flight(double ms, double timeout_ms) noexcept {
+  return std::floor(ms / timeout_ms) > kMaxDelayRounds;
 }
 
 /// Begins round k of `model` and draws its n(n-1) message latencies into
@@ -104,15 +97,14 @@ void draw_latency_round(LatencyModel& model, Round k,
                         std::vector<double>& latency);
 
 /// Classifies one drawn round against `timeout_ms`: a latency within the
-/// timeout is timely, +inf or more than `max_delay_rounds` rounds late is
+/// timeout is timely, +inf or more than kMaxDelayRounds rounds late is
 /// lost, anything else is floor(latency / timeout) rounds late. Fills
 /// `out` (n x n, n = out.n(); `latency` holds n * n entries) and returns
 /// the off-diagonal fate tallies (mask 0). Reads nothing but its
 /// arguments, so one latency plane can be classified against any number
 /// of timeouts.
 FusedRoundEval classify_round(std::span<const double> latency,
-                              double timeout_ms, int max_delay_rounds,
-                              PackedLinkMatrix& out);
+                              double timeout_ms, PackedLinkMatrix& out);
 
 /// One round ranked against m sorted distinct timeouts t_0 < ... <
 /// t_{m-1}. Each entry is a threshold: the first sorted index at which the
@@ -180,40 +172,29 @@ struct RankScratch {
 /// packed_evaluate_granular.
 RoundRanks rank_round(std::span<const double> latency, int n,
                       std::span<const double> sorted_timeouts,
-                      int max_delay_rounds, ProcessId leader,
-                      const GranularPlanes& classes, RankScratch& scratch,
-                      RankTallies& tallies);
+                      ProcessId leader, const GranularPlanes& classes,
+                      RankScratch& scratch, RankTallies& tallies);
 
 class LatencyTimelinessSampler final : public TimelinessSampler {
  public:
-  LatencyTimelinessSampler(LatencyModel& model, double timeout_ms,
-                           int max_delay_rounds = kDefaultMaxDelayRounds);
+  LatencyTimelinessSampler(LatencyModel& model, double timeout_ms);
 
   int n() const noexcept override { return model_.n(); }
   void sample_round(Round k, LinkMatrix& out) override;
   void sample_round(Round k, PackedLinkMatrix& out) override;
 
-  void set_latency_sink(LatencySink sink) { sink_ = std::move(sink); }
-  double timeout_ms() const noexcept { return timeout_ms_; }
-
  private:
-  /// draw_latency_round into latency_, then feed the sink (if any).
-  void draw(Round k);
-
   LatencyModel& model_;
   double timeout_ms_;
-  int max_delay_rounds_;
-  LatencySink sink_;
   std::vector<double> latency_;  ///< the current round's latency plane
 };
 
 /// Direct Bernoulli sampler: entry timely with probability p, otherwise
-/// late by a geometric number of rounds or lost. This is the Section 4
-/// IID world without the latency detour.
+/// lost (a quarter of untimely entries) or late by a geometric number of
+/// rounds. This is the Section 4 IID world without the latency detour.
 class IidTimelinessSampler final : public TimelinessSampler {
  public:
-  IidTimelinessSampler(int n, double p, std::uint64_t seed,
-                       double loss_share = 0.25);
+  IidTimelinessSampler(int n, double p, std::uint64_t seed);
 
   int n() const noexcept override { return n_; }
   void sample_round(Round k, LinkMatrix& out) override;
@@ -226,7 +207,6 @@ class IidTimelinessSampler final : public TimelinessSampler {
 
   int n_;
   double p_;
-  double loss_share_;
   Rng rng_;
 };
 

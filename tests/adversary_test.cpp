@@ -58,7 +58,7 @@ TEST(AdversaryMutate, EveryMutantValidatesAndRoundTrips) {
     EXPECT_EQ(fault::validate(c.plan, cfg.n, cfg.leader), "")
         << "step " << step << ":\n" << c.plan.spec();
     ASSERT_GE(c.plan.gsr, 3);
-    ASSERT_LE(c.plan.gsr, cfg.max_gsr);
+    ASSERT_LE(c.plan.gsr, kMaxGsr);
     // The canonical spec parses back to the same plan.
     const fault::ParseResult pr = fault::parse_fault_plan(c.plan.spec());
     ASSERT_TRUE(pr.ok()) << pr.error;

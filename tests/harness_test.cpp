@@ -370,7 +370,7 @@ void check_sweep_matches_streaming(Testbed tb,
 }
 
 // The fig1g sweep, plus a 1 ms timeout whose stragglers outlive
-// kDefaultMaxDelayRounds and count as lost.
+// kMaxDelayRounds and count as lost.
 const std::vector<double> kWanTimeouts = {1,   140, 150, 160, 170, 180, 190,
                                           200, 210, 230, 260, 300, 350};
 // The fig1c sweep.
@@ -406,7 +406,7 @@ std::vector<double> many_timeouts(int count, std::uint64_t seed) {
 }
 
 // Shuffled, with duplicates, and with 0.5 and 1 ms timeouts whose WAN
-// stragglers pass kDefaultMaxDelayRounds.
+// stragglers pass kMaxDelayRounds.
 const std::vector<double> kOddWanTimeouts = {210, 140, 350, 0.5, 140,
                                              1,   300, 160, 210};
 
@@ -431,7 +431,7 @@ TEST(RunSweep, EmptyTimeoutListGivesNoRuns) {
 
 /// A seeded n x n latency plane (zero diagonal). A share `edge_share` of
 /// its cells sit on an edge of the sweep: NaN, +inf, or one ulp below,
-/// at or above a timeout t, 64 t or 65 t (the kDefaultMaxDelayRounds lost
+/// at or above a timeout t, 64 t or 65 t (the kMaxDelayRounds lost
 /// edge). The rest are uniform up to `spread` times the largest timeout.
 std::vector<double> edge_latency_plane(int n,
                                        const std::vector<double>& timeouts,
@@ -489,9 +489,9 @@ void check_rank_round_matches_classify(int n,
     const std::vector<double> latency =
         edge_latency_plane(n, timeouts, edge_share, spread, rng);
     tallies.reset(static_cast<int>(sorted.size()));
-    const RoundRanks ranks = rank_round(
-        latency, n, sorted, kDefaultMaxDelayRounds, leader,
-        (g == nullptr ? all_sync : *g).planes(), scratch, tallies);
+    const RoundRanks ranks =
+        rank_round(latency, n, sorted, leader,
+                   (g == nullptr ? all_sync : *g).planes(), scratch, tallies);
     const std::vector<FusedRoundEval> fates = tallies.fates();
     ASSERT_EQ(fates.size(), sorted.size());
     for (const double t : timeouts) {
@@ -499,8 +499,7 @@ void check_rank_round_matches_classify(int n,
                                       << " timeout=" << t);
       const int i = static_cast<int>(
           std::lower_bound(sorted.begin(), sorted.end(), t) - sorted.begin());
-      const FusedRoundEval want =
-          classify_round(latency, t, kDefaultMaxDelayRounds, q);
+      const FusedRoundEval want = classify_round(latency, t, q);
       const auto at = static_cast<std::size_t>(i);
       EXPECT_EQ(fates[at].timely, want.timely);
       EXPECT_EQ(fates[at].late, want.late);
@@ -559,9 +558,8 @@ TEST(RankRound, ThresholdsSpanTheSweep) {
     const std::vector<double> latency = edge_latency_plane(
         7, timeouts, std::array<double, 3>{0.0, 0.05, 0.3}[r % 3],
         std::array<double, 3>{0.9, 1.2, 3.0}[(r / 3) % 3], rng);
-    const RoundRanks ranks =
-        rank_round(latency, 7, timeouts, kDefaultMaxDelayRounds, 3,
-                   all_sync.planes(), scratch, tallies);
+    const RoundRanks ranks = rank_round(latency, 7, timeouts, 3,
+                                        all_sync.planes(), scratch, tallies);
     for (std::size_t b = 0; b < held.size(); ++b) {
       held[b] = held[b] || ranks.model[b] < m;
       failed[b] = failed[b] || ranks.model[b] > 0;

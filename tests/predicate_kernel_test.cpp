@@ -158,7 +158,7 @@ TEST(PredicateKernel, EvaluateAllEmitsSamePredicateEvent) {
   BufferSink scalar_sink;
   BufferSink packed_sink;
   (void)evaluate_all(a, 2, nullptr, &scalar_sink, 7);
-  (void)evaluate_all(q, 2, nullptr, &packed_sink, 7);
+  (void)evaluate_all(q, 2, &packed_sink, 7);
   ASSERT_EQ(scalar_sink.events().size(), 1u);
   ASSERT_EQ(packed_sink.events().size(), 1u);
   EXPECT_TRUE(scalar_sink.events()[0] == packed_sink.events()[0]);
@@ -242,7 +242,7 @@ TEST(FusedKernel, OneLatencyPlaneClassifiesAgainstEveryTimeout) {
   // on the same sub-stream — matrix and fate tallies. The IID model
   // reports latencies in units of its implied 1 ms timeout, so the short
   // timeouts below turn its stragglers into late fates and, past
-  // kDefaultMaxDelayRounds, lost ones; n crosses the row-word boundary.
+  // kMaxDelayRounds, lost ones; n crosses the row-word boundary.
   const double timeouts[] = {0.004, 0.01, 0.3, 1.0, 2.5, 40.0};
   for (const int n : {2, 7, 63, 64, 65, 130}) {
     IidLatencyModel model(n, 0.8, 0x5eed + static_cast<std::uint64_t>(n));
@@ -261,7 +261,7 @@ TEST(FusedKernel, OneLatencyPlaneClassifiesAgainstEveryTimeout) {
       draw_latency_round(model, k, latency);
       for (std::size_t t = 0; t < std::size(timeouts); ++t) {
         const FusedRoundEval e =
-            classify_round(latency, timeouts[t], kDefaultMaxDelayRounds, q);
+            classify_round(latency, timeouts[t], q);
         scalar[t].sample_round(k, a);
         ASSERT_TRUE(same_fates(a, q));
         FusedRoundEval want;
@@ -428,11 +428,13 @@ TEST(PredicateMonotonicity, OneMoreTimelyLinkNeverClearsABit) {
         // Scalar and packed homogeneous masks, then granular sat | csat << 4
         // (the packed kernel takes no crash mask).
         const auto masks = [&] {
+          const std::uint8_t hs = evaluate_all(a, leader, c);
+          const std::uint8_t hp = c == nullptr ? evaluate_all(q, leader) : hs;
           const GranularEval gs = evaluate_all_granular(a, leader, g, c);
           const GranularEval gp =
               c == nullptr ? evaluate_all_granular(q, leader, g) : gs;
           return std::array<unsigned, 4>{
-              evaluate_all(a, leader, c), evaluate_all(q, leader, c),
+              hs, hp,
               gs.sat | (static_cast<unsigned>(gs.csat) << 4),
               gp.sat | (static_cast<unsigned>(gp.csat) << 4)};
         };

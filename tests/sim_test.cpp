@@ -116,16 +116,6 @@ TEST(LatencySampler, ThresholdsAndDelays) {
   EXPECT_EQ(a.at(0, 1), kLost);
 }
 
-TEST(LatencySampler, SinkSeesEveryMessage) {
-  LanLatencyModel model(LanProfile{}, 3);
-  LatencyTimelinessSampler s(model, 0.5);
-  int count = 0;
-  s.set_latency_sink([&](ProcessId, ProcessId, double) { ++count; });
-  LinkMatrix a(8);
-  s.sample_round(1, a);
-  EXPECT_EQ(count, 8 * 7);
-}
-
 TEST(LanModel, SelfLatencyZero) {
   LanLatencyModel m(LanProfile{}, 11);
   m.begin_round(1);
