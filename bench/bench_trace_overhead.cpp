@@ -2,7 +2,7 @@
 // measurement hot path, in three configurations of measure_run on a
 // fig1-style sweep (WAN-like IID timeliness, all-to-all traffic):
 //
-//   off      - null sink, null metrics (the default everyone else pays);
+//   off      - null sink (the default everyone else pays);
 //   count    - CountingSink: the per-event virtual call, no storage;
 //   buffer   - BufferSink: what measure_runs uses per trial;
 //   jsonl    - BufferSink + serializing every event to JSONL.

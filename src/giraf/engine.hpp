@@ -115,9 +115,6 @@ class RoundEngine {
     span_ctx_ = ctx;
   }
 
-  /// The row each process saw last round (test introspection).
-  const RoundMsgs& last_row(ProcessId i) const { return rows_[i]; }
-
  private:
   struct InFlight {
     Round due;           ///< round during which it arrives

@@ -19,8 +19,7 @@ double RunMeasurement::incidence(TimingModel m) const noexcept {
 }
 
 RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
-                           ProcessId leader, TraceSink* trace,
-                           MetricsRegistry* metrics) {
+                           ProcessId leader, TraceSink* trace) {
   TM_CHECK(rounds > 0, "need at least one round");
   RunMeasurement out;
   out.rounds = rounds;
@@ -31,10 +30,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
   PackedLinkMatrix a(n);
   for (int r = 1; r <= rounds; ++r) {
     TM_TRACE(trace, TraceEvent::round_start(r));
-    {
-      PhaseTimer t(metrics, "phase.sample");
-      sampler.sample_round(r, a);
-    }
+    sampler.sample_round(r, a);
     // Message fates of the round's (virtual) all-to-all traffic. Self
     // links are excluded, matching the paper's p ("each process sent ...
     // to all others"). When tracing, walk cells in (dst, src) order so
@@ -67,11 +63,7 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
       out.messages_late += fates.late;
       out.messages_lost += fates.lost;
     }
-    std::uint8_t mask = 0;
-    {
-      PhaseTimer t(metrics, "phase.predicates");
-      mask = evaluate_all(a, leader, trace, r);
-    }
+    const std::uint8_t mask = evaluate_all(a, leader, trace, r);
     for (TimingModel m : kAllModels) {
       const int idx = model_index(m);
       out.sat[static_cast<std::size_t>(idx)].push_back(
@@ -79,52 +71,34 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
     }
     TM_TRACE(trace, TraceEvent::round_end(r));
   }
-  if (metrics != nullptr) {
-    metrics->inc("rounds", rounds);
-    metrics->inc("messages.total", out.messages_total);
-    metrics->inc("messages.timely", out.messages_timely);
-    metrics->inc("messages.late", out.messages_late);
-    metrics->inc("messages.lost", out.messages_lost);
-    for (TimingModel m : kAllModels) {
-      const auto idx = static_cast<std::size_t>(model_index(m));
-      long long sat = 0;
-      for (auto b : out.sat[idx]) sat += b ? 1 : 0;
-      metrics->inc(std::string("rounds.sat.") + to_string(m), sat);
-    }
-    metrics->observe("run.timely_fraction", out.timely_fraction());
-  }
   return out;
 }
 
 std::vector<RunMeasurement> measure_runs(int num_runs,
                                          const SamplerFactory& make_sampler,
                                          int rounds, ProcessId leader,
-                                         const MeasureObs& obs) {
+                                         std::ostream* trace_out) {
   TM_CHECK(num_runs > 0, "need at least one run");
 
   // Resolve the trace destination: an explicit stream wins, otherwise
   // TIMING_TRACE=<path> (the off-by-default env knob).
   const TraceConfig env = TraceConfig::from_env();
   std::ofstream env_file;
-  std::ostream* trace_out = obs.trace_out;
-  std::size_t max_events = obs.max_events_per_trial;
+  std::size_t max_events = 0;
   if (trace_out == nullptr && env.enabled()) {
     env_file.open(env.path, std::ios::trunc);
     TM_CHECK(env_file.good(), "cannot open TIMING_TRACE output file");
     trace_out = &env_file;
-    if (max_events == 0) max_events = env.max_events_per_trial;
+    max_events = env.max_events_per_trial;
   }
   const bool tracing = trace_out != nullptr;
-  const bool metering = obs.metrics != nullptr;
 
-  // Per-trial private sinks/registries; pool threads never share one.
+  // Per-trial private sinks; pool threads never share one.
   std::vector<BufferSink> sinks;
-  std::vector<MetricsRegistry> registries;
   if (tracing) {
     sinks.reserve(static_cast<std::size_t>(num_runs));
     for (int i = 0; i < num_runs; ++i) sinks.emplace_back(max_events);
   }
-  if (metering) registries.resize(static_cast<std::size_t>(num_runs));
 
   // Each slot is written by exactly one trial, so the pool threads never
   // contend; read only after run_trials returns.
@@ -136,14 +110,13 @@ std::vector<RunMeasurement> measure_runs(int num_runs,
         TM_CHECK(sampler != nullptr, "sampler factory returned null");
         trial_n[run] = sampler->n();
         return measure_run(*sampler, rounds, leader,
-                           tracing ? &sinks[run] : nullptr,
-                           metering ? &registries[run] : nullptr);
+                           tracing ? &sinks[run] : nullptr);
       });
 
-  // Drain in trial-index order on this thread: deterministic bytes and
-  // deterministic metric folds regardless of the thread count. The header
-  // carries the max n; trials that differ (e.g. a group-size sweep)
-  // record their own n on the trial marker.
+  // Drain in trial-index order on this thread: deterministic bytes
+  // regardless of the thread count. The header carries the max n; trials
+  // that differ (e.g. a group-size sweep) record their own n on the trial
+  // marker.
   if (tracing) {
     int max_n = 0;
     for (int n : trial_n) max_n = std::max(max_n, n);
@@ -155,9 +128,6 @@ std::vector<RunMeasurement> measure_runs(int num_runs,
                   n == max_n ? 0 : n);
     }
     trace_out->flush();
-  }
-  if (metering) {
-    for (const MetricsRegistry& r : registries) obs.metrics->merge(r);
   }
   return result;
 }

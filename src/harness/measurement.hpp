@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "models/predicates.hpp"
 #include "models/timing_model.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_config.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/sampler.hpp"
@@ -50,16 +49,11 @@ struct RunMeasurement {
 
 /// Runs `rounds` rounds of the sampler, evaluating all four predicates
 /// with the given (designated) leader. All-to-all traffic is assumed, as
-/// in the paper's measurement runs.
-///
-/// Observability (both off by default, near-zero cost when null):
-///  * `trace` receives RoundStart, per-link message-fate, PredicateEval
-///    and RoundEnd events for every round;
-///  * `metrics` accumulates message/round counters, per-model conforming
-///    round counts, and the sample/predicate phase timers.
+/// in the paper's measurement runs. `trace` (off by default, near-zero
+/// cost when null) receives RoundStart, per-link message-fate,
+/// PredicateEval and RoundEnd events for every round.
 RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
-                           ProcessId leader, TraceSink* trace = nullptr,
-                           MetricsRegistry* metrics = nullptr);
+                           ProcessId leader, TraceSink* trace = nullptr);
 
 /// Builds the self-contained sampler for one run. Must seed it from the
 /// run index alone (e.g. via substream_seed) — factories are invoked
@@ -67,30 +61,20 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
 using SamplerFactory =
     std::function<std::unique_ptr<TimelinessSampler>(int run)>;
 
-/// Observability options for measure_runs. Each trial records into its
-/// own private buffer/registry on the pool thread that runs it; the
-/// calling thread then drains them in trial-index order, so the JSONL
-/// bytes and the merged metrics are bit-identical for every
-/// TIMING_THREADS value.
-struct MeasureObs {
-  /// Record trace events and write them as JSONL here. Null means
-  /// "consult TIMING_TRACE" (see TraceConfig::from_env); tracing is off
-  /// when that is unset too.
-  std::ostream* trace_out = nullptr;
-  /// Merged per-trial metrics land here (null disables metrics).
-  MetricsRegistry* metrics = nullptr;
-  /// Per-trial event cap forwarded to BufferSink (0 = unbounded).
-  std::size_t max_events_per_trial = 0;
-};
-
 /// Fans `num_runs` independent measurement runs out over the thread pool
 /// (common/parallel.hpp). Results are indexed by run and — given a
 /// thread-agnostic factory — identical for every TIMING_THREADS value.
-/// The default-argument form honours TIMING_TRACE=<path>.
+///
+/// With `trace_out` set, every run's trace events are written there as
+/// JSONL; when it is null, TIMING_TRACE=<path> (and its
+/// TIMING_TRACE_MAX_EVENTS cap) decides, and tracing is off when that is
+/// unset too. Each trial records into its own buffer on the pool thread
+/// that runs it, and the calling thread writes them in trial-index
+/// order, so the bytes are identical for every TIMING_THREADS value.
 std::vector<RunMeasurement> measure_runs(int num_runs,
                                          const SamplerFactory& make_sampler,
                                          int rounds, ProcessId leader,
-                                         const MeasureObs& obs = {});
+                                         std::ostream* trace_out = nullptr);
 
 struct DecisionWindow {
   double rounds = 0.0;   ///< rounds from the start point until conditions held

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.hpp"
-
 namespace timing {
 
 const char* to_string(SpanMode m) noexcept {
@@ -84,16 +82,16 @@ void SpanTracer::cause(std::uint64_t id, std::uint64_t cause_id,
       TraceEvent::span(span_phase::kCause, id, cause_id, kind, k, -1));
 }
 
-int emit_metrics_snapshot(SpanTracer* t, const MetricsRegistry& reg,
+int emit_metrics_snapshot(SpanTracer* t, const SpanLatencies& lat,
                           Round seq) {
   if (t == nullptr || !t->timed()) return 0;
   int emitted = 0;
   for (int m = 0; m < kSpanMetricCount; ++m) {
-    const LogHistogram* h = reg.find_latency(kSpanMetricNames[m]);
-    if (h == nullptr || h->empty()) continue;
+    const LogHistogram& h = lat.metric(m);
+    if (h.empty()) continue;
     t->sink()->record(TraceEvent::metrics(
-        seq, m, static_cast<long long>(h->count()), h->quantile(0.50),
-        h->quantile(0.90), h->quantile(0.99), h->quantile(0.999), h->max()));
+        seq, m, static_cast<long long>(h.count()), h.quantile(0.50),
+        h.quantile(0.90), h.quantile(0.99), h.quantile(0.999), h.max()));
     ++emitted;
   }
   return emitted;

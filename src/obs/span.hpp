@@ -23,13 +23,12 @@
 
 #include <cstdint>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace timing {
-
-class MetricsRegistry;
 
 /// What span emission records. `ids` keeps the causal structure but
 /// suppresses timestamps (t stays -1 / off the wire), preserving the
@@ -80,7 +79,6 @@ class SpanTracer {
 
   bool enabled() const noexcept { return sink_ != nullptr && mode_ != SpanMode::kOff; }
   bool timed() const noexcept { return enabled() && mode_ == SpanMode::kTimed; }
-  SpanMode mode() const noexcept { return mode_; }
   TraceSink* sink() const noexcept { return sink_; }
 
   /// Monotonic nanoseconds since this tracer's construction (its
@@ -103,28 +101,23 @@ class SpanTracer {
   long long epoch_ns_ = 0;
 };
 
-/// One-branch helpers for possibly-null tracer pointers (the idiom at
-/// every instrumentation site).
-inline long long span_begin(SpanTracer* t, std::uint64_t id,
-                            std::uint64_t parent, std::uint8_t kind,
-                            Round k = 0) {
-  return t != nullptr ? t->begin(id, parent, kind, k) : 0;
-}
-inline long long span_end(SpanTracer* t, std::uint64_t id, std::uint8_t kind,
-                          Round k = 0) {
-  return t != nullptr ? t->end(id, kind, k) : 0;
-}
-inline void span_cause(SpanTracer* t, std::uint64_t id, std::uint64_t cause_id,
-                       std::uint8_t kind, Round k = 0) {
-  if (t != nullptr) t->cause(id, cause_id, kind, k);
-}
+/// The op latencies a client harness records from its span timestamps
+/// (kSpanMetricNames order) and trace_tool rebuilds from the trace.
+struct SpanLatencies {
+  LogHistogram commit;  ///< op.commit_ns
+  LogHistogram queue;   ///< op.queue_ns
 
-/// Emit one "e":"metrics" snapshot line per known latency metric the
-/// registry holds (kSpanMetricNames order; absent/empty metrics are
-/// skipped). Timed mode only — snapshot values are wall clock and would
-/// break ids-mode byte-identity. `seq` orders multiple snapshots within
-/// a trial. Returns the number of lines emitted.
-int emit_metrics_snapshot(SpanTracer* t, const MetricsRegistry& reg,
+  /// The histogram of kSpanMetricNames[m].
+  const LogHistogram& metric(int m) const noexcept {
+    return m == 0 ? commit : queue;
+  }
+};
+
+/// Emit one "e":"metrics" snapshot line per non-empty latency histogram
+/// (kSpanMetricNames order). Timed mode only — snapshot values are wall
+/// clock and would break ids-mode byte-identity. `seq` orders multiple
+/// snapshots within a trial. Returns the number of lines emitted.
+int emit_metrics_snapshot(SpanTracer* t, const SpanLatencies& lat,
                           Round seq = 0);
 
 }  // namespace timing

@@ -16,6 +16,7 @@
 
 #include "common/stats.hpp"
 #include "obs/jsonl.hpp"
+#include "obs/span.hpp"
 
 namespace timing {
 
@@ -61,18 +62,8 @@ SpanIdParts split_span_id(std::uint64_t id) noexcept;
 /// Human label for a span id, e.g. "op(c=1,rid=2)" or "msg(k=3,0->2)".
 std::string span_label(std::uint64_t id);
 
-/// The latency histograms the online harness records (kSpanMetricNames
-/// order: op.commit_ns, op.queue_ns), rebuilt from the trial's span and
-/// op events.
-struct SpanLatencies {
-  LogHistogram commit;  ///< op.commit_ns
-  LogHistogram queue;   ///< op.queue_ns
-
-  void merge(const SpanLatencies& other) {
-    commit.merge(other.commit);
-    queue.merge(other.queue);
-  }
-};
+/// The latency histograms the online harness records, rebuilt from the
+/// trial's span and op events.
 SpanLatencies rebuild_latencies(const TrialTrace& trial);
 
 /// The (count, p50, p90, p99, p999, max) row a metrics snapshot line

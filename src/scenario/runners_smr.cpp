@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "fault/parser.hpp"
 #include "obs/jsonl.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_config.hpp"
 #include "obs/trace_sink.hpp"
@@ -89,7 +89,7 @@ struct LoadTrial {
   int slots_abandoned = 0;
   int instances = 0;
   bool consistent = true;
-  MetricsRegistry metrics;         ///< op.commit_ns / op.queue_ns (virtual)
+  LogHistogram commit_ns;          ///< commit latency, virtual ns
   std::vector<TraceEvent> events;  ///< kept only when tracing
 };
 
@@ -101,7 +101,7 @@ struct LoadSummary {
   long long slots_abandoned = 0;
   long long instances = 0;
   bool consistent = true;
-  MetricsRegistry metrics;
+  LogHistogram commit_ns;
   std::vector<LoadTrial> trials;
 
   double ops_per_sec(double tick_ms) const {
@@ -230,11 +230,8 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
                 --in_flight;
                 if (sr.committed) {
                   ++out.ops_ok;
-                  out.metrics.latency("op.commit_ns")
-                      .record((sr.committed_tick - op.submit_tick) *
-                              tick_ns);
-                  out.metrics.latency("op.queue_ns")
-                      .record((sr.sealed_tick - op.submit_tick) * tick_ns);
+                  out.commit_ns.record(
+                      (sr.committed_tick - op.submit_tick) * tick_ns);
                 } else {
                   ++out.ops_fail;
                 }
@@ -282,7 +279,7 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
       sum.slots_abandoned += trial.slots_abandoned;
       sum.instances += trial.instances;
       sum.consistent = sum.consistent && trial.consistent;
-      sum.metrics.merge(trial.metrics);  // trial order: deterministic
+      sum.commit_ns.merge(trial.commit_ns);  // trial order: deterministic
     }
     sum.trials = trials;
     return sum;
@@ -306,9 +303,6 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
     }
   }
 
-  const LogHistogram* lat = load.metrics.find_latency("op.commit_ns");
-  const LogHistogram empty;
-  if (lat == nullptr) lat = &empty;
   const double to_ms = 1e-6;
   const double speedup =
       serial.ops_per_sec(timeout_ms) > 0.0
@@ -320,8 +314,7 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
                "p99 ms", "p999 ms", "speedup"});
   const auto row = [&](const char* name, int pipeline, int batch,
                        const LoadSummary& s, double speed) {
-    const LogHistogram* h = s.metrics.find_latency("op.commit_ns");
-    if (h == nullptr) h = &empty;
+    const LogHistogram& h = s.commit_ns;
     table.add_row(
         {name, Table::integer(pipeline), Table::integer(batch),
          Table::integer(spec.clients),
@@ -330,9 +323,9 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
          Table::integer(static_cast<double>(s.slots_committed)),
          Table::integer(static_cast<double>(s.slots_abandoned)),
          Table::num(s.ops_per_sec(timeout_ms)),
-         Table::num(static_cast<double>(h->quantile(0.50)) * to_ms),
-         Table::num(static_cast<double>(h->quantile(0.99)) * to_ms),
-         Table::num(static_cast<double>(h->quantile(0.999)) * to_ms),
+         Table::num(static_cast<double>(h.quantile(0.50)) * to_ms),
+         Table::num(static_cast<double>(h.quantile(0.99)) * to_ms),
+         Table::num(static_cast<double>(h.quantile(0.999)) * to_ms),
          Table::num(speed)});
   };
   row("pipelined", spec.pipeline, spec.batch, load, speedup);

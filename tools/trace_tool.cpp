@@ -431,10 +431,8 @@ int cmd_latency(const ParsedTrace& trace, int trial, bool csv) {
                   t.id, "metric", "count", "p50(ns)", "p90(ns)", "p99(ns)",
                   "p999(ns)", "max(ns)");
     }
-    const LogHistogram* rebuilt[kSpanMetricCount] = {&lat.commit,
-                                                     &lat.queue};
     for (int m = 0; m < kSpanMetricCount; ++m) {
-      const LatencyRow row = latency_row(*rebuilt[m]);
+      const LatencyRow row = latency_row(lat.metric(m));
       if (row.count > 0) {
         print_latency_row(kSpanMetricNames[m], t.id, row, csv);
       }
