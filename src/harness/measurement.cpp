@@ -1,12 +1,8 @@
 #include "harness/measurement.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <ostream>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
-#include "obs/jsonl.hpp"
 
 namespace timing {
 
@@ -72,64 +68,6 @@ RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
     TM_TRACE(trace, TraceEvent::round_end(r));
   }
   return out;
-}
-
-std::vector<RunMeasurement> measure_runs(int num_runs,
-                                         const SamplerFactory& make_sampler,
-                                         int rounds, ProcessId leader,
-                                         std::ostream* trace_out) {
-  TM_CHECK(num_runs > 0, "need at least one run");
-
-  // Resolve the trace destination: an explicit stream wins, otherwise
-  // TIMING_TRACE=<path> (the off-by-default env knob).
-  const TraceConfig env = TraceConfig::from_env();
-  std::ofstream env_file;
-  std::size_t max_events = 0;
-  if (trace_out == nullptr && env.enabled()) {
-    env_file.open(env.path, std::ios::trunc);
-    TM_CHECK(env_file.good(), "cannot open TIMING_TRACE output file");
-    trace_out = &env_file;
-    max_events = env.max_events_per_trial;
-  }
-  const bool tracing = trace_out != nullptr;
-
-  // Per-trial private sinks; pool threads never share one.
-  std::vector<BufferSink> sinks;
-  if (tracing) {
-    sinks.reserve(static_cast<std::size_t>(num_runs));
-    for (int i = 0; i < num_runs; ++i) sinks.emplace_back(max_events);
-  }
-
-  // Each slot is written by exactly one trial, so the pool threads never
-  // contend; read only after run_trials returns.
-  std::vector<int> trial_n(static_cast<std::size_t>(num_runs), 0);
-
-  auto result = run_trials<RunMeasurement>(
-      static_cast<std::size_t>(num_runs), [&](std::size_t run) {
-        auto sampler = make_sampler(static_cast<int>(run));
-        TM_CHECK(sampler != nullptr, "sampler factory returned null");
-        trial_n[run] = sampler->n();
-        return measure_run(*sampler, rounds, leader,
-                           tracing ? &sinks[run] : nullptr);
-      });
-
-  // Drain in trial-index order on this thread: deterministic bytes
-  // regardless of the thread count. The header carries the max n; trials
-  // that differ (e.g. a group-size sweep) record their own n on the trial
-  // marker.
-  if (tracing) {
-    int max_n = 0;
-    for (int n : trial_n) max_n = std::max(max_n, n);
-    write_trace_header(*trace_out, max_n);
-    for (int run = 0; run < num_runs; ++run) {
-      const int n = trial_n[static_cast<std::size_t>(run)];
-      write_trial(*trace_out, run,
-                  sinks[static_cast<std::size_t>(run)].events(),
-                  n == max_n ? 0 : n);
-    }
-    trace_out->flush();
-  }
-  return result;
 }
 
 DecisionWindow rounds_until_conditions(const std::vector<std::uint8_t>& sat,

@@ -8,15 +8,11 @@
 #pragma once
 
 #include <array>
-#include <functional>
-#include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "models/predicates.hpp"
 #include "models/timing_model.hpp"
-#include "obs/trace_config.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/sampler.hpp"
 
@@ -54,27 +50,6 @@ struct RunMeasurement {
 /// PredicateEval and RoundEnd events for every round.
 RunMeasurement measure_run(TimelinessSampler& sampler, int rounds,
                            ProcessId leader, TraceSink* trace = nullptr);
-
-/// Builds the self-contained sampler for one run. Must seed it from the
-/// run index alone (e.g. via substream_seed) — factories are invoked
-/// concurrently from pool threads.
-using SamplerFactory =
-    std::function<std::unique_ptr<TimelinessSampler>(int run)>;
-
-/// Fans `num_runs` independent measurement runs out over the thread pool
-/// (common/parallel.hpp). Results are indexed by run and — given a
-/// thread-agnostic factory — identical for every TIMING_THREADS value.
-///
-/// With `trace_out` set, every run's trace events are written there as
-/// JSONL; when it is null, TIMING_TRACE=<path> (and its
-/// TIMING_TRACE_MAX_EVENTS cap) decides, and tracing is off when that is
-/// unset too. Each trial records into its own buffer on the pool thread
-/// that runs it, and the calling thread writes them in trial-index
-/// order, so the bytes are identical for every TIMING_THREADS value.
-std::vector<RunMeasurement> measure_runs(int num_runs,
-                                         const SamplerFactory& make_sampler,
-                                         int rounds, ProcessId leader,
-                                         std::ostream* trace_out = nullptr);
 
 struct DecisionWindow {
   double rounds = 0.0;   ///< rounds from the start point until conditions held

@@ -24,6 +24,7 @@
 #include "models/timing_model.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
+#include "obs/trace_sink.hpp"
 #include "oracles/omega.hpp"
 #include "scenario/runners.hpp"
 #include "sim/latency_model.hpp"
@@ -473,15 +474,21 @@ int run_ablation_group_size(const ScenarioSpec& spec, const RunContext& ctx) {
            "WLM(" + std::to_string(needed(TimingModel::kWlm)) + ")"});
   const std::vector<int>& ns = spec.group_sizes;
   // One measurement run per group size, fanned over the pool; sampler
-  // seeds depend only on n, so the sweep is thread-count-invariant.
-  const auto runs = measure_runs(
-      static_cast<int>(ns.size()),
-      [&](int i) -> std::unique_ptr<TimelinessSampler> {
-        const int n = ns[static_cast<std::size_t>(i)];
-        return std::make_unique<IidTimelinessSampler>(
-            n, p, spec.seed + static_cast<std::uint64_t>(n));
-      },
-      rounds, /*leader=*/0);
+  // seeds depend only on n, so the sweep is thread-count-invariant. A
+  // traced trial records into its own sink on the pool thread that runs
+  // it; the collector takes them in trial order afterwards.
+  std::vector<BufferSink> sinks(ctx.trace ? ns.size() : 0);
+  const auto runs =
+      run_trials<RunMeasurement>(ns.size(), [&](std::size_t i) {
+        IidTimelinessSampler sampler(
+            ns[i], p, spec.seed + static_cast<std::uint64_t>(ns[i]));
+        return measure_run(sampler, rounds, /*leader=*/0,
+                           ctx.trace ? &sinks[i] : nullptr);
+      });
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    ctx.trace->push_back(
+        TrialTrace{static_cast<int>(i), ns[i], sinks[i].take()});
+  }
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const RunMeasurement& m = runs[i];
     Rng rng(7);

@@ -95,8 +95,7 @@ int statements(const fault::FaultPlan& plan) {
 }  // namespace
 
 int run_adversary_search(const ScenarioSpec& spec, const RunContext& ctx) {
-  const ProcessId leader =
-      spec.leader_policy == LeaderPolicy::kFixed ? spec.leader : 0;
+  const ProcessId leader = scenario_leader(spec);
 
   adversary::SearchConfig cfg;
   cfg.mut = mutation_config(spec, leader);

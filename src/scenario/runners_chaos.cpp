@@ -45,8 +45,7 @@ struct KindTally {
 int run_chaos_family(const ScenarioSpec& spec, const RunContext& ctx,
                      const std::vector<AlgorithmKind>& kinds) {
   const int n = spec.n;
-  const ProcessId leader =
-      spec.leader_policy == LeaderPolicy::kFixed ? spec.leader : 0;
+  const ProcessId leader = scenario_leader(spec);
 
   // A `fault=` override pins one plan for every trial; the trial seed
   // then only varies the underlying pre-gsr schedule.

@@ -74,8 +74,7 @@ int run_granular_ablation(const ScenarioSpec& spec, const RunContext& ctx) {
   std::ostream& os = ctx.os();
   const int n = spec.n;
   const double p = spec.iid_p;
-  const ProcessId leader =
-      spec.leader_policy == LeaderPolicy::kFixed ? spec.leader : 0;
+  const ProcessId leader = scenario_leader(spec);
   analysis::GranularLinkProbs q;
   q.p_sync = q.p_psync = q.p_async = p;
   q.timely_self = true;  // the IID sampler forces self links timely

@@ -89,9 +89,8 @@ std::string validate(const ScenarioSpec& spec) {
   if (!spec.fault_spec.empty()) {
     const fault::ParseResult pr = fault::load_fault_plan(spec.fault_spec);
     if (!pr.ok()) return "bad fault plan: " + pr.error;
-    const ProcessId ld =
-        spec.leader_policy == LeaderPolicy::kFixed ? spec.leader : kNoProcess;
-    const std::string ferr = fault::validate(pr.plan, spec.n, ld);
+    const std::string ferr =
+        fault::validate(pr.plan, spec.n, scenario_leader(spec));
     if (!ferr.empty()) return "bad fault plan: " + ferr;
   }
   return "";
@@ -130,6 +129,13 @@ ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
 
 ProcessId resolve_leader(const ScenarioSpec& spec) {
   return timing::resolve_leader(to_experiment_config(spec));
+}
+
+ProcessId scenario_leader(const ScenarioSpec& spec) {
+  if (spec.sampler == SamplerKind::kLan || spec.sampler == SamplerKind::kWan) {
+    return resolve_leader(spec);
+  }
+  return spec.leader_policy == LeaderPolicy::kFixed ? spec.leader : 0;
 }
 
 std::vector<TimeoutResult> run_experiment(const ScenarioSpec& spec) {

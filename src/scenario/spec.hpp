@@ -135,6 +135,11 @@ ExperimentConfig to_experiment_config(const ScenarioSpec& spec);
 /// paper's method; kAverage elects the average leader).
 ProcessId resolve_leader(const ScenarioSpec& spec);
 
+/// The leader a scenario runs with: resolve_leader on the LAN and WAN
+/// testbeds, otherwise the fixed leader, or 0 under any other policy.
+/// validate() checks a `fault=` plan against this same leader.
+ProcessId scenario_leader(const ScenarioSpec& spec);
+
 /// Validate + lower + run the Section 5 sweep kernel
 /// (harness/experiments.hpp) for a latency-testbed spec.
 std::vector<TimeoutResult> run_experiment(const ScenarioSpec& spec);

@@ -126,8 +126,9 @@ TEST(ParallelDeterminism, ExperimentSweepIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------
-// measure_runs: summary statistics and decision-round distributions for
-// n in {3, 5, 8} must not depend on the thread count.
+// measure_run trials fanned over run_trials: summary statistics and
+// decision-round distributions for n in {3, 5, 8} must not depend on the
+// thread count.
 
 struct Summary {
   std::array<RunningStats, kNumModels> incidence;
@@ -135,13 +136,11 @@ struct Summary {
 };
 
 Summary summarize(int n, std::uint64_t root, int num_runs, int rounds) {
-  const auto ms = measure_runs(
-      num_runs,
-      [&](int run) -> std::unique_ptr<TimelinessSampler> {
-        return std::make_unique<IidTimelinessSampler>(
-            n, 0.9, substream_seed(root, static_cast<std::uint64_t>(run)));
-      },
-      rounds, /*leader=*/0);
+  const auto ms = run_trials<RunMeasurement>(
+      static_cast<std::size_t>(num_runs), [&](std::size_t run) {
+        IidTimelinessSampler sampler(n, 0.9, substream_seed(root, run));
+        return measure_run(sampler, rounds, /*leader=*/0);
+      });
   Summary out;
   for (auto& h : out.rounds) {
     h = Histogram(0.0, static_cast<double>(rounds) + 1.0, 16);
@@ -159,7 +158,7 @@ Summary summarize(int n, std::uint64_t root, int num_runs, int rounds) {
   return out;
 }
 
-TEST(ParallelDeterminism, MeasureRunsIsThreadCountInvariant) {
+TEST(ParallelDeterminism, MeasureRunTrialsAreThreadCountInvariant) {
   for (int n : {3, 5, 8}) {
     for (std::uint64_t root : {7ULL, 0xDEADULL}) {
       ScopedThreads serial(1);

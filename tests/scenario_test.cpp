@@ -12,8 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "harness/experiments.hpp"
+#include "obs/jsonl.hpp"
+#include "obs/span.hpp"
+#include "obs/trace_analysis.hpp"
 #include "oracles/omega.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/overrides.hpp"
@@ -471,6 +475,43 @@ TEST(RunnerTest, WanSweepCaptionsStateTheSampleSize) {
     ASSERT_EQ(sc.run(spec, ctx), 0) << name;
     EXPECT_NE(out.str().find(caption), std::string::npos)
         << name << ":\n" << out.str();
+  }
+}
+
+// The one trace path: the trace ablation/group_size and smr/linearizable
+// (ids spans) collect through RunContext::trace, laid out by write_trace,
+// is a valid trace with the same bytes at 1 and 4 threads. Each trial
+// fills its own sink on a pool thread, which puts this suite in the tsan
+// subset.
+TEST(RunnerTest, CollectedTraceBytesAreThreadCountInvariant) {
+  const auto traced = [](const char* name, std::string shape,
+                          int threads) {
+    const Scenario& sc = *find_scenario(name);
+    ScenarioSpec spec = sc.defaults();
+    char* argv[] = {shape.data()};
+    EXPECT_EQ(apply_cli_args(spec, 1, argv, 0).error, "");
+    std::ostringstream tables;
+    std::vector<TrialTrace> trials;
+    RunContext ctx;
+    ctx.out = &tables;
+    ctx.trace = &trials;
+    ctx.spans = SpanMode::kIds;
+    ScopedThreads st(threads);
+    EXPECT_EQ(sc.run(spec, ctx), 0) << name;
+    std::ostringstream bytes;
+    write_trace(bytes, trials);
+    return bytes.str();
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {"ablation/group_size", "rounds_per_run=50"},
+      {"smr/linearizable", "runs=6"}};
+  for (const auto& [name, shape] : cases) {
+    const std::string serial = traced(name, shape, 1);
+    std::istringstream in(serial);
+    const ParsedTrace trace = parse_trace(in);
+    EXPECT_FALSE(trace.trials.empty()) << name;
+    EXPECT_EQ(validate_trace(trace), "") << name;
+    EXPECT_EQ(serial, traced(name, shape, 4)) << name;
   }
 }
 
