@@ -4,7 +4,7 @@
 //
 //   off      - null sink (the default everyone else pays);
 //   count    - CountingSink: the per-event virtual call, no storage;
-//   buffer   - BufferSink: what measure_runs uses per trial;
+//   buffer   - BufferSink: what each traced trial records into;
 //   jsonl    - BufferSink + serializing every event to JSONL.
 //
 // The contract asserted by the design (docs/OBSERVABILITY.md): the null

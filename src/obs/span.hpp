@@ -43,9 +43,9 @@ enum class SpanMode : std::uint8_t {
 const char* to_string(SpanMode m) noexcept;
 bool span_mode_from_string(const char* s, SpanMode& out) noexcept;
 
-/// Reads TIMING_SPANS (off|ids|timed; default off). Read per call, like
-/// TraceConfig::from_env; warns once on stderr for an unknown value and
-/// treats it as off.
+/// Reads TIMING_SPANS (off|ids|timed; default off) per call; timing_lab
+/// calls it once per run, and only when TIMING_TRACE is set. Warns once on
+/// stderr for an unknown value and treats it as off.
 SpanMode span_mode_from_env();
 
 /// Deterministic span id: kind tag in bits 59..62, then three small

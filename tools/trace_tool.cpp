@@ -278,7 +278,7 @@ int cmd_links(const ParsedTrace& trace, int trial, int top) {
     totals.late += t.totals.late;
     totals.lost += t.totals.lost;
   }
-  // Predicate-harness traces (measure_runs) omit MsgSent — the fate event
+  // Predicate-harness traces (measure_run) omit MsgSent — the fate event
   // implies the send — so derive sent from the fates when absent.
   const auto sent_of = [](const LinkCounts& l) {
     return std::max(l.sent, l.timely + l.late + l.lost);
