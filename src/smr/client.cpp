@@ -176,8 +176,8 @@ void read_final_state(const SmrCore& core, int total_keys,
 /// The one op lifecycle both harnesses drive every op and probe read
 /// through: invoke, wait (a pipelined probe read, submitted at once,
 /// skips it), propose, cause (the serialized harness names every instance
-/// that carried the proposal, the pipelined one only a main-phase op's
-/// committing slot), and one of ok, fail or info. Each step writes the
+/// that carried the proposal, the pipelined one the slot that committed
+/// an op or probe read), and one of ok, fail or info. Each step writes the
 /// op's history event, report counter and op/queue/commit spans. With a
 /// timed tracer, the queue and commit latencies in the report are the
 /// differences of the very timestamps the span events carry, so
@@ -546,6 +546,7 @@ SmrClientReport run_pipelined_smr_clients(const SmrClientConfig& cfg,
             Value result = kNoValue;
             TM_CHECK(applier(core, sr.applied).last_result(c, result),
                      "probe must have a session result");
+            ops.cause(c, span_kind::kSlot, sr.slot);
             ops.ok(c, probe_result(cfg, stale_done, result));
           }
           probe_in_flight[k] = false;

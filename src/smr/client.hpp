@@ -63,9 +63,9 @@ struct SmrClientConfig {
   /// keyed (client, rid) with `queue` (invoke -> first proposal) and
   /// `commit` (first proposal -> completion) children. In the serialized
   /// harness each commit span is cause-annotated with every consensus
-  /// instance the op was proposed into; in the pipelined one a main-phase
-  /// op's commit span gets one edge, to the log slot that committed it,
-  /// and ops whose slot was abandoned, timed-out ops and probe reads get
+  /// instance the op was proposed into; in the pipelined one a committed
+  /// op's or probe read's commit span gets one edge, to the log slot that
+  /// committed it, and ops whose slot was abandoned and timed-out ops get
   /// none. Pipelined probe reads are submitted at once and open no queue
   /// span. Instance/round spans come from the group or log.
   SpanTracer* spans = nullptr;
