@@ -91,61 +91,6 @@ double variance_of(const std::vector<double>& xs) noexcept {
   return s / static_cast<double>(xs.size() - 1);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  TM_CHECK(bins > 0, "histogram needs at least one bin");
-  TM_CHECK(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) noexcept {
-  TM_CHECK(configured(), "add() on an unconfigured histogram");
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_ || std::isnan(x)) {
-    ++overflow_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::size_t>((x - lo_) / span *
-                                      static_cast<double>(counts_.size()));
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // x just below hi
-  ++counts_[bin];
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (!other.configured()) return;
-  if (!configured()) {
-    *this = other;
-    return;
-  }
-  TM_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
-               counts_.size() == other.counts_.size(),
-           "merging histograms of different shapes");
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-}
-
-std::uint64_t Histogram::total() const noexcept {
-  std::uint64_t t = underflow_ + overflow_;
-  for (std::uint64_t c : counts_) t += c;
-  return t;
-}
-
-double Histogram::bin_lo(std::size_t bin) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) /
-                   static_cast<double>(counts_.size());
-}
-
 std::size_t LogHistogram::bucket_of(unsigned long long v) noexcept {
   if (v < static_cast<unsigned long long>(kSub)) {
     return static_cast<std::size_t>(v);

@@ -5,8 +5,8 @@
 // The accumulators are MERGEABLE so that parallel trial shards can each
 // fold locally and be combined afterwards: RunningStats::merge is Chan's
 // pairwise update (associative and commutative up to floating-point
-// rounding; exact for the count/min/max parts), and Histogram bins are
-// integer counts, so histogram merging is exactly associative.
+// rounding; exact for the count/min/max parts), and LogHistogram buckets
+// are integer counts, so histogram merging is exactly associative.
 #pragma once
 
 #include <cstddef>
@@ -68,43 +68,6 @@ double quantile_of(std::span<double> xs, double p) noexcept;
 
 /// Copying convenience overload (delegates to the span form).
 double quantile_of(std::vector<double> xs, double p) noexcept;
-
-/// Fixed-range histogram with integer bin counts. Values below lo land
-/// in underflow, at or above hi in overflow; bins are half-open
-/// [bin_lo, bin_hi). Because counts are integers, merge() is exactly
-/// associative and commutative — the distribution a parallel sweep
-/// reports is bit-identical for every thread count.
-class Histogram {
- public:
-  /// Unconfigured (no bins); add() is then a checked error.
-  Histogram() = default;
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  /// Elementwise sum; shapes (lo, hi, bins) must match.
-  void merge(const Histogram& other);
-
-  bool configured() const noexcept { return !counts_.empty(); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
-  std::uint64_t count(std::size_t bin) const noexcept { return counts_[bin]; }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  /// All observations, including under/overflow.
-  std::uint64_t total() const noexcept;
-  double bin_lo(std::size_t bin) const noexcept;
-  double bin_hi(std::size_t bin) const noexcept;
-
-  friend bool operator==(const Histogram&, const Histogram&) = default;
-
- private:
-  double lo_ = 0.0;
-  double hi_ = 0.0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
 
 /// HDR-style log-bucketed latency histogram over non-negative integer
 /// values (nanoseconds in practice). The first 2^kSubBits values are

@@ -110,11 +110,6 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
     std::array<RunningStats, kNumModels> rounds_stats;
     std::array<RunningStats, kNumModels> censored_stats;
     std::array<RunningStats, kNumLinkModelClasses> class_stats;
-    std::array<Histogram, kNumModels> rounds_hist;
-    for (auto& h : rounds_hist) {
-      h = Histogram(0.0, static_cast<double>(cfg.rounds_per_run) + 1.0,
-                    kRoundsHistBins);
-    }
 
     for (std::size_t run = 0; run < runs; ++run) {
       const GranularStreamedRun& t = trials[run][ti];
@@ -124,7 +119,6 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
         pm_stats[i].add(t.base.pm[i]);
         rounds_stats[i].add(t.base.mean_rounds[i]);
         censored_stats[i].add(t.base.censored[i]);
-        rounds_hist[i].add(t.base.mean_rounds[i]);
       }
       for (int c = 0; c < kNumLinkModelClasses; ++c) {
         class_stats[static_cast<std::size_t>(c)].add(
@@ -148,7 +142,6 @@ std::vector<TimeoutResult> run_experiment(const ExperimentConfig& cfg) {
       ms.mean_rounds = rounds_stats[idx].mean();
       ms.mean_time_ms = ms.mean_rounds * timeout;
       ms.censored_fraction = censored_stats[idx].mean();
-      ms.rounds_hist = rounds_hist[idx];
     }
     results.push_back(tr);
   }

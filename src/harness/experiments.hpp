@@ -64,9 +64,6 @@ struct ExperimentConfig {
   LinkModelMatrix link_models;
 };
 
-/// Bin count of ModelTimeoutStats::rounds_hist.
-inline constexpr std::size_t kRoundsHistBins = 32;
-
 struct ModelTimeoutStats {
   double mean_pm = 0.0;   ///< mean incidence across runs
   double ci95_pm = 0.0;   ///< 95% CI half-width of the mean
@@ -74,9 +71,6 @@ struct ModelTimeoutStats {
   double mean_rounds = 0.0;   ///< rounds to decision conditions
   double mean_time_ms = 0.0;  ///< rounds x timeout
   double censored_fraction = 0.0;
-  /// Across-run distribution of the per-run mean decision rounds
-  /// (integer bin counts, so exactly thread-count-invariant).
-  Histogram rounds_hist;
 };
 
 struct TimeoutResult {

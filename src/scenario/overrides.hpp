@@ -16,6 +16,13 @@ struct CliArgs {
   std::string error;  ///< non-empty: unknown/invalid argument (usage error)
 };
 
+/// Apply one `key=value` override to `spec`: "" on success, otherwise
+/// why the value was rejected ("unknown key" for a key no override has).
+/// What depends on the rest of the spec (a fault plan against n and the
+/// leader, link_models against n) is validate()'s to check.
+std::string apply_override(ScenarioSpec& spec, const std::string& key,
+                           const std::string& value);
+
 /// Parse argv[first..argc) over `spec`. Recognised flags: --csv, --help
 /// (and -h). Everything else must be a `key=value` override; unknown keys
 /// or unparsable values set CliArgs::error and leave later args

@@ -34,10 +34,12 @@ struct Scenario {
   bool decision_windows = false;
 };
 
-/// validate(spec) plus the rules that depend on what `sc` computes: a
-/// scenario that draws random fault plans needs n >= 3, and a
+/// validate(spec) plus the rules that depend on what `sc` computes, the
+/// only place the plan rules live: a `fault=` plan is read only by the
+/// "chaos" and "smr" figures, and a "chaos" one must end in a gsr
+/// marker; a scenario that draws random fault plans needs n >= 3; a
 /// decision-window scenario's runs must be longer than every window.
-/// The CLI checks every spec it runs or describes with this.
+/// The CLI checks every spec it runs, describes or replays with this.
 std::string validate(const Scenario& sc, const ScenarioSpec& spec);
 
 /// All registered scenarios, in presentation order (figures, appendix,

@@ -6,7 +6,6 @@
 // admit a linearization of the register spec. A violation prints a
 // 1-minimal witness plus the exact replay command.
 #include <algorithm>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,7 +16,6 @@
 #include "common/table.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
-#include "fault/parser.hpp"
 #include "history/history.hpp"
 #include "history/linearizability.hpp"
 #include "models/schedule.hpp"
@@ -78,29 +76,13 @@ int run_smr_linearizable(const ScenarioSpec& spec, const RunContext& ctx) {
   const ProcessId leader = scenario_leader(spec);
 
   CorruptMode corrupt = CorruptMode::kNone;
-  if (!spec.corrupt_spec.empty() &&
-      !corrupt_mode_from_string(spec.corrupt_spec.c_str(), corrupt)) {
-    std::cerr << "error: bad corrupt mode '" << spec.corrupt_spec << "'\n";
-    return 1;  // validate() normally catches this earlier
+  if (!spec.corrupt_spec.empty()) {
+    corrupt_mode_from_string(spec.corrupt_spec.c_str(), corrupt);
   }
 
   // A `fault=` override pins one plan for every main-phase instance.
-  fault::FaultPlan fixed;
   const bool have_fixed = !spec.fault_spec.empty();
-  if (have_fixed) {
-    const fault::ParseResult pr = fault::load_fault_plan(spec.fault_spec);
-    if (!pr.ok()) {
-      std::cerr << "error: bad fault plan: " << pr.error << "\n";
-      return 1;
-    }
-    fixed = pr.plan;
-    if (fixed.gsr < 1) {
-      std::cerr << "error: smr/linearizable needs a terminal `gsr @R` "
-                   "marker in the fault plan (instances are capped past "
-                   "it); got a plan without one\n";
-      return 1;
-    }
-  }
+  const fault::FaultPlan& fixed = spec.fault_spec.plan();
 
   // Span tracing rides the trace: ids or timed adds span (and, for
   // timed, metrics-snapshot) events to each trial's stream.
@@ -232,7 +214,8 @@ int run_smr_linearizable(const ScenarioSpec& spec, const RunContext& ctx) {
           }
           r += "replay: timing_lab run smr/linearizable seed=" +
                std::to_string(spec.seed) + " runs=" + std::to_string(t + 1) +
-               (have_fixed ? " fault=\"" + spec.fault_spec + "\"" : "") +
+               (have_fixed ? " fault=\"" + spec.fault_spec.text() + "\""
+                           : "") +
                (corrupt != CorruptMode::kNone
                     ? std::string(" corrupt=") + to_string(corrupt)
                     : "") +

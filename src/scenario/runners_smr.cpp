@@ -7,7 +7,6 @@
 // every number is deterministic for a fixed spec and identical across
 // TIMING_THREADS settings.
 #include <algorithm>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "common/table.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
-#include "fault/parser.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_sink.hpp"
@@ -120,16 +118,8 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
   // A `fault=` override pins one plan for every main-phase slot attempt
   // (message drops + crash rounds per the plan; the probe-free load loop
   // otherwise runs the raw latency testbed).
-  fault::FaultPlan fixed;
   const bool have_fixed = !spec.fault_spec.empty();
-  if (have_fixed) {
-    const fault::ParseResult pr = fault::load_fault_plan(spec.fault_spec);
-    if (!pr.ok()) {
-      std::cerr << "error: bad fault plan: " << pr.error << "\n";
-      return 1;
-    }
-    fixed = pr.plan;
-  }
+  const fault::FaultPlan& fixed = spec.fault_spec.plan();
   const std::vector<Round> fixed_crashes =
       fault::crash_rounds(fixed, spec.n);
   const int bound = fault::bound_after_gsr(spec.algorithm);
@@ -328,7 +318,8 @@ int run_smr_throughput(const ScenarioSpec& spec, const RunContext& ctx) {
                " trials x " + std::to_string(spec.rounds_per_run) +
                " submission ticks, algorithm " +
                algorithm_key(spec.algorithm) +
-               (have_fixed ? ", fault=\"" + spec.fault_spec + "\"" : ""));
+               (have_fixed ? ", fault=\"" + spec.fault_spec.text() + "\""
+                           : ""));
 
   if (!load.consistent || !serial.consistent) {
     ctx.os() << "\nerror: applying replicas diverged after the decided "

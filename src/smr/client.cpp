@@ -20,20 +20,30 @@ const char* to_string(CorruptMode m) noexcept {
   return "none";
 }
 
+namespace {
+
+constexpr CorruptMode kCorruptModes[] = {
+    CorruptMode::kNone, CorruptMode::kStaleRead, CorruptMode::kLostUpdate};
+
+}  // namespace
+
 bool corrupt_mode_from_string(const char* s, CorruptMode& out) noexcept {
-  if (std::strcmp(s, "none") == 0) {
-    out = CorruptMode::kNone;
-    return true;
-  }
-  if (std::strcmp(s, "stale") == 0) {
-    out = CorruptMode::kStaleRead;
-    return true;
-  }
-  if (std::strcmp(s, "lost") == 0) {
-    out = CorruptMode::kLostUpdate;
-    return true;
+  for (CorruptMode m : kCorruptModes) {
+    if (std::strcmp(s, to_string(m)) == 0) {
+      out = m;
+      return true;
+    }
   }
   return false;
+}
+
+std::string corrupt_mode_names(const char* sep) {
+  std::string out;
+  for (CorruptMode m : kCorruptModes) {
+    if (!out.empty()) out += sep;
+    out += to_string(m);
+  }
+  return out;
 }
 
 namespace {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -46,8 +47,12 @@ enum class CorruptMode {
 };
 
 const char* to_string(CorruptMode m) noexcept;
-/// Parses "none" / "stale" / "lost"; returns false on anything else.
+/// Parses a to_string() name ("none" / "stale" / "lost"); returns false
+/// on anything else.
 bool corrupt_mode_from_string(const char* s, CorruptMode& out) noexcept;
+/// Every mode's name, joined by `sep` ("none|stale|lost" for "|"): the
+/// `corrupt=` override's help and error texts.
+std::string corrupt_mode_names(const char* sep);
 
 struct SmrClientConfig {
   int n = 5;

@@ -308,55 +308,6 @@ TEST(Stats, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(t.max(), 2.0);
 }
 
-TEST(Stats, HistogramBinsAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-0.5);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(9.999);  // bin 9
-  h.add(10.0);   // overflow (half-open range)
-  h.add(4.5);    // bin 4
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 5.0);
-}
-
-TEST(Stats, HistogramMergeIsExactlyAssociative) {
-  // Integer bin counts: any merge tree over the same shards yields the
-  // same histogram, bit for bit — the property the parallel harness
-  // relies on for distribution outputs.
-  Rng rng(0x415);
-  std::vector<Histogram> shards(8, Histogram(0.0, 1.0, 25));
-  Histogram serial(0.0, 1.0, 25);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform(-0.1, 1.1);
-    shards[static_cast<std::size_t>(rng.uniform_int(shards.size()))].add(x);
-    serial.add(x);
-  }
-  Histogram left(0.0, 1.0, 25);   // ((s0 + s1) + s2) + ...
-  for (const auto& s : shards) left.merge(s);
-  Histogram right(0.0, 1.0, 25);  // s7 + (s6 + (...))
-  for (auto it = shards.rbegin(); it != shards.rend(); ++it) right.merge(*it);
-  EXPECT_EQ(left, right);
-  EXPECT_EQ(left, serial);
-}
-
-TEST(Stats, HistogramMergeFromUnconfigured) {
-  Histogram h;
-  EXPECT_FALSE(h.configured());
-  Histogram other(0.0, 4.0, 4);
-  other.add(1.0);
-  h.merge(other);
-  ASSERT_TRUE(h.configured());
-  EXPECT_EQ(h.count(1), 1u);
-  h.merge(Histogram{});  // merging an unconfigured histogram is a no-op
-  EXPECT_EQ(h.total(), 1u);
-}
-
 TEST(Stats, StudentTTable) {
   EXPECT_NEAR(student_t_975(1), 12.706, 1e-3);
   EXPECT_NEAR(student_t_975(32), 2.037, 0.02);  // the paper's 33-run case
