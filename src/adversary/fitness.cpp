@@ -87,9 +87,8 @@ Fitness evaluate(const Candidate& candidate, const EvalConfig& cfg,
     tc.pre_gsr_p = cfg.pre_gsr_p;
     tc.plan = candidate.plan;
     tc.link_models = candidate.link_models;
-    tc.max_rounds = std::max(
-        cfg.min_rounds,
-        candidate.plan.gsr + fault::bound_after_gsr(cfg.algorithm) + 2);
+    tc.max_rounds =
+        fault::round_cap(cfg.algorithm, candidate.plan.gsr, cfg.min_rounds);
     BufferSink sink;
     if (traces != nullptr) tc.trace = &sink;
     const fault::ChaosRunResult r =

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "giraf/engine.hpp"
@@ -219,6 +220,26 @@ bool granular_supports(TimingModel model, ProcessId leader,
   return false;
 }
 
+int round_cap(AlgorithmKind k, Round gsr, int floor) noexcept {
+  return std::max(floor, gsr + bound_after_gsr(k) + 2);
+}
+
+std::string replay_command(AlgorithmKind kind, const ChaosTrialConfig& cfg) {
+  std::string cmd = "timing_lab replay \"" + inline_spec(cfg.plan) +
+                    "\" algorithm=" + algorithm_key(kind) +
+                    " n=" + std::to_string(cfg.n) +
+                    " leader=" + std::to_string(cfg.leader) +
+                    " iid_p=" + format_double(cfg.pre_gsr_p) +
+                    " seed=" + std::to_string(cfg.seed);
+  if (cfg.max_rounds != round_cap(kind, cfg.plan.gsr, kChaosRoundFloor)) {
+    cmd += " rounds_per_run=" + std::to_string(cfg.max_rounds);
+  }
+  if (cfg.link_models.n() > 0 && !cfg.link_models.all_sync()) {
+    cmd += " link_models=\"" + cfg.link_models.spec() + "\"";
+  }
+  return cmd;
+}
+
 namespace {
 
 std::string violation_report(const char* what, AlgorithmKind kind,
@@ -239,8 +260,11 @@ std::string violation_report(const char* what, AlgorithmKind kind,
        << cfg.link_models.count(LinkModelClass::kAsync) << " async";
   }
   if (!detail.empty()) os << "\n" << detail;
-  os << "\nfault plan (replayable):\n"
-     << (cfg.plan.source.empty() ? cfg.plan.spec() : cfg.plan.source);
+  std::string plan =
+      cfg.plan.source.empty() ? cfg.plan.spec() : cfg.plan.source;
+  if (!plan.empty() && plan.back() != '\n') plan += '\n';
+  os << "\nfault plan (replayable):\n" << plan
+     << "replay: " << replay_command(kind, cfg);
   return os.str();
 }
 

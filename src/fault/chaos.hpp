@@ -5,9 +5,11 @@
 // crashes and loss), and a decision within the algorithm's proven bound
 // after the plan's gsr marker (liveness once the model holds).
 //
-// A violation report quotes the offending plan spec verbatim: paste it
-// into `timing_lab run chaos/single fault="<spec>" seed=<seed>` (or a
-// plan file) and the trial replays bit for bit.
+// A violation report quotes the offending plan spec verbatim and ends
+// with the `timing_lab replay` command that re-runs that one trial bit
+// for bit (replay_command below). Pasting the plan into `timing_lab run
+// chaos/single fault=...` does not: chaos/single derives each trial's
+// seed from its seed=.
 #pragma once
 
 #include <string>
@@ -30,6 +32,16 @@ TimingModel native_model(AlgorithmKind k) noexcept;
 /// 10 and the per-algorithm analyses; 60 for Paxos, which has no
 /// constant bound under <>WLM).
 int bound_after_gsr(AlgorithmKind k) noexcept;
+
+/// The round cap of a chaos execution run with rounds_per_run = `floor`:
+/// it reaches past the liveness bound, or an undecided run could not be
+/// told apart from a slow one. The chaos scenarios, the adversary's
+/// evaluations and `timing_lab replay` all cap their runs so.
+int round_cap(AlgorithmKind k, Round gsr, int floor) noexcept;
+
+/// The rounds_per_run of the chaos scenarios' defaults, and so of
+/// `timing_lab replay`.
+inline constexpr int kChaosRoundFloor = 80;
 
 /// A seeded random plan exercising every fault kind: a pre-gsr mix of
 /// permanent crashes (never the leader, always leaving a correct
@@ -95,6 +107,13 @@ struct ChaosRunResult {
   bool ok() const noexcept { return safety_ok && liveness_ok; }
   bool operator==(const ChaosRunResult&) const = default;
 };
+
+/// The `timing_lab replay` command that re-runs exactly this execution:
+/// the plan inline, the trial's own seed, and every setting in which the
+/// run differs from replay's defaults (the round cap, a granular
+/// matrix). Every number on it reads back to the value the run used.
+/// A violation report ends with it.
+std::string replay_command(AlgorithmKind kind, const ChaosTrialConfig& cfg);
 
 /// One algorithm under one plan. Deterministic in (kind, cfg). The run's
 /// trace is recorded once, into a buffer the calling thread reuses from

@@ -77,6 +77,15 @@ std::string FaultPlan::spec() const {
   return out;
 }
 
+std::string inline_spec(const FaultPlan& plan) {
+  std::string out;
+  for (const FaultEvent& e : plan.events) {
+    out += e.spec();
+    out += "; ";
+  }
+  return out;
+}
+
 namespace {
 
 bool windowed(FaultKind k) noexcept {

@@ -90,6 +90,10 @@ struct FaultPlan {
   std::string spec() const;
 };
 
+/// spec() on one line, each statement followed by "; ": the form a
+/// replay command quotes (`timing_lab replay "crash 1 @2; gsr @5; "`).
+std::string inline_spec(const FaultPlan& plan);
+
 /// Structural validation with event-accurate messages; "" when valid.
 /// Enforced rules:
 ///  * rounds >= 1, windows non-empty, probabilities in [0, 1];

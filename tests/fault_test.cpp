@@ -362,9 +362,10 @@ TEST(Chaos, RandomPlansAlwaysValidate) {
   }
 }
 
-/// The plan text a violation report quotes (everything after its
-/// "fault plan (replayable):" line), from a run that max_rounds = 1 cuts
-/// off before any decision, so it always reports a liveness violation.
+/// The plan text a violation report quotes (everything between its
+/// "fault plan (replayable):" line and its closing replay line), from a
+/// run that max_rounds = 1 cuts off before any decision, so it always
+/// reports a liveness violation.
 std::string reported_plan(const FaultPlan& plan) {
   ChaosTrialConfig cfg;
   cfg.n = 5;
@@ -380,7 +381,13 @@ std::string reported_plan(const FaultPlan& plan) {
     ADD_FAILURE() << "no replayable plan in:\n" << r.violation;
     return "";
   }
-  return r.violation.substr(at + marker.size());
+  const std::size_t from = at + marker.size();
+  const std::size_t replay = r.violation.rfind("\nreplay: timing_lab replay ");
+  if (replay == std::string::npos || replay < from) {
+    ADD_FAILURE() << "no replay line in:\n" << r.violation;
+    return "";
+  }
+  return r.violation.substr(from, replay + 1 - from);
 }
 
 TEST(Chaos, ViolationReportCarriesAReplayablePlan) {
