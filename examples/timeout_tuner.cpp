@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   std::cout << (lan ? "LAN" : "WAN (PlanetLab profile)")
             << " testbed, designated leader: node "
-            << scenario::resolve_leader(spec) << "\n\n";
+            << scenario::scenario_leader(spec) << "\n\n";
   const auto rs = scenario::run_experiment(spec);
 
   Table sweep({"timeout(ms)", "p", "ES time", "<>AFM time", "<>LM time",
