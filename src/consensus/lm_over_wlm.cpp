@@ -1,5 +1,7 @@
 #include "consensus/lm_over_wlm.hpp"
 
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace timing {
@@ -19,7 +21,7 @@ SendSpec LmOverWlmSimulation::initialize(ProcessId leader_hint) {
 }
 
 // compute_WLM (Algorithm 3 lines 4-11).
-SendSpec LmOverWlmSimulation::compute(Round k, const RoundMsgs& received,
+SendSpec LmOverWlmSimulation::compute(Round k, RoundMsgs received,
                                       ProcessId leader_hint) {
   TM_CHECK(static_cast<int>(received.size()) == n_, "row size mismatch");
   if (k % 2 == 1) {
@@ -38,15 +40,16 @@ SendSpec LmOverWlmSimulation::compute(Round k, const RoundMsgs& received,
 
   // Even round: reconstruct M_fixed[k/2][*] from the received relays
   // (lines 8-10) and run the inner compute with round number k/2
-  // (line 11).
-  RoundMsgs fixed(static_cast<std::size_t>(n_));
+  // (line 11). The row points into the relays, which outlive the inner
+  // compute.
+  std::vector<const Message*> fixed(static_cast<std::size_t>(n_), nullptr);
   for (ProcessId j = 0; j < n_; ++j) {
-    for (const auto& rel : received) {
+    for (const Message* rel : received) {
       if (!rel || rel->type != MsgType::kRelay) continue;
       bool found = false;
       for (std::size_t idx = 0; idx < rel->relay_from.size(); ++idx) {
         if (rel->relay_from[idx] == j) {
-          fixed[j] = rel->relay_msgs[idx];
+          fixed[j] = &rel->relay_msgs[idx];
           found = true;
           break;
         }
@@ -57,7 +60,7 @@ SendSpec LmOverWlmSimulation::compute(Round k, const RoundMsgs& received,
   // The inner protocol requires its own message to be present; our own
   // relay always contains it (we received our own round-(k-1) message),
   // but be explicit in case the relay round dropped everything.
-  if (!fixed[self_]) fixed[self_] = pending_inner_msg_;
+  if (!fixed[self_]) fixed[self_] = &pending_inner_msg_;
 
   inner_round_ = k / 2;
   const bool was_decided = inner_->has_decided();

@@ -28,7 +28,7 @@ class LmOverWlmSimulation final : public Protocol {
   LmOverWlmSimulation(ProcessId self, int n, std::unique_ptr<Protocol> inner);
 
   SendSpec initialize(ProcessId leader_hint) override;
-  SendSpec compute(Round k, const RoundMsgs& received,
+  SendSpec compute(Round k, RoundMsgs received,
                    ProcessId leader_hint) override;
 
   bool has_decided() const noexcept override { return inner_->has_decided(); }

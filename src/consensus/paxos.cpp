@@ -59,7 +59,7 @@ SendSpec PaxosConsensus::acceptor_or_idle(ProcessId leader_hint) {
                  leader_hint == kNoProcess ? self_ : leader_hint);
 }
 
-SendSpec PaxosConsensus::compute(Round k, const RoundMsgs& received,
+SendSpec PaxosConsensus::compute(Round k, RoundMsgs received,
                                  ProcessId leader_hint) {
   TM_CHECK(static_cast<int>(received.size()) == n_, "row size mismatch");
   pending_reply_to_ = kNoProcess;
@@ -92,11 +92,11 @@ SendSpec PaxosConsensus::compute(Round k, const RoundMsgs& received,
         std::max({max_ballot_seen_, m->ballot, m->accepted_ballot});
     if (m->type == MsgType::kPaxosPrepare &&
         (best_prep == nullptr || m->ballot > best_prep->ballot)) {
-      best_prep = &*m;
+      best_prep = m;
       best_prep_from = j;
     } else if (m->type == MsgType::kPaxosAccept &&
                (best_acc == nullptr || m->ballot > best_acc->ballot)) {
-      best_acc = &*m;
+      best_acc = m;
       best_acc_from = j;
     }
   }

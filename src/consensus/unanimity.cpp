@@ -23,10 +23,10 @@ SendSpec UnanimityConsensus::make_send() const {
 
 SendSpec UnanimityConsensus::initialize(ProcessId) { return make_send(); }
 
-SendSpec UnanimityConsensus::compute(Round k, const RoundMsgs& received,
+SendSpec UnanimityConsensus::compute(Round k, RoundMsgs received,
                                      ProcessId) {
   TM_CHECK(static_cast<int>(received.size()) == n_, "row size mismatch");
-  TM_CHECK(received[self_].has_value(), "own message must be present");
+  TM_CHECK(received[self_] != nullptr, "own message must be present");
   if (dec_ != kNoValue) return make_send();
 
   const Message& own = *received[self_];

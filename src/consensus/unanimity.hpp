@@ -49,7 +49,7 @@ class UnanimityConsensus final : public Protocol {
   UnanimityConsensus(ProcessId self, int n, Value proposal);
 
   SendSpec initialize(ProcessId leader_hint) override;
-  SendSpec compute(Round k, const RoundMsgs& received,
+  SendSpec compute(Round k, RoundMsgs received,
                    ProcessId leader_hint) override;
 
   bool has_decided() const noexcept override { return dec_ != kNoValue; }

@@ -40,10 +40,10 @@ SendSpec WlmConsensus::initialize(ProcessId leader_hint) {
 }
 
 // Procedure compute (lines 15-30).
-SendSpec WlmConsensus::compute(Round k, const RoundMsgs& received,
+SendSpec WlmConsensus::compute(Round k, RoundMsgs received,
                                ProcessId leader_hint) {
   TM_CHECK(static_cast<int>(received.size()) == n_, "row size mismatch");
-  TM_CHECK(received[self_].has_value(), "own message must be present");
+  TM_CHECK(received[self_] != nullptr, "own message must be present");
   if (dec_ == kNoValue) {  // line 16
     // Update variables (lines 18-21).
     prev_ld_ = new_ld_;
@@ -71,7 +71,7 @@ SendSpec WlmConsensus::compute(Round k, const RoundMsgs& received,
     const Message* decide_msg = nullptr;
     for (const auto& m : received) {
       if (m && m->type == MsgType::kDecide) {
-        decide_msg = &*m;
+        decide_msg = m;
         break;
       }
     }

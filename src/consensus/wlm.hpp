@@ -28,7 +28,7 @@ class WlmConsensus final : public Protocol {
   WlmConsensus(ProcessId self, int n, Value proposal);
 
   SendSpec initialize(ProcessId leader_hint) override;
-  SendSpec compute(Round k, const RoundMsgs& received,
+  SendSpec compute(Round k, RoundMsgs received,
                    ProcessId leader_hint) override;
 
   bool has_decided() const noexcept override { return dec_ != kNoValue; }

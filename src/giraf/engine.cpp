@@ -16,9 +16,9 @@ RoundEngine::RoundEngine(std::vector<std::unique_ptr<Protocol>> processes,
     : procs_(std::move(processes)), oracle_(std::move(oracle)) {
   TM_CHECK(procs_.size() > 1, "engine needs n > 1 processes");
   const auto n = procs_.size();
+  sending_.resize(n);
   outbox_.resize(n);
-  rows_.resize(n);
-  for (auto& row : rows_) row.assign(n, std::nullopt);
+  rows_.assign(n * n, nullptr);
   crash_round_.assign(n, kNever);
   decision_round_.assign(n, -1);
 }
@@ -74,15 +74,21 @@ Round RoundEngine::step_impl(const Matrix& fates) {
     }
   }
 
-  // Start of round k_: clear rows, place own messages, dispatch sends.
-  for (ProcessId i = 0; i < n(); ++i) {
-    std::fill(rows_[i].begin(), rows_[i].end(), std::nullopt);
-  }
+  // Start of round k_: the outbox becomes this round's sends and the
+  // rows point into them; compute() below refills the other buffer, so
+  // no message changes while a row points at it.
+  std::swap(sending_, outbox_);
+  std::fill(rows_.begin(), rows_.end(), nullptr);
+  const auto nn = static_cast<std::size_t>(n());
+  const auto row = [&](ProcessId i) {
+    return rows_.data() + static_cast<std::size_t>(i) * nn;
+  };
   msgs_last_round_ = 0;
   for (ProcessId i = 0; i < n(); ++i) {
     if (!alive(i)) continue;
-    rows_[i][i] = outbox_[i].msg;  // own message always received
-    for (ProcessId d : outbox_[i].dests) {
+    const Message* msg = &sending_[i].msg;
+    row(i)[i] = msg;  // own message always received
+    for (ProcessId d : sending_[i].dests) {
       if (d == i) continue;
       TM_CHECK(d >= 0 && d < n(), "destination out of range");
       ++stats_.messages_sent;
@@ -94,7 +100,7 @@ Round RoundEngine::step_impl(const Matrix& fates) {
         TM_TRACE(trace_, TraceEvent::msg(EventKind::kMsgLost, k_, i, d));
       } else if (fate == 0) {
         ++stats_.timely_deliveries;
-        if (k_ < crash_round_[d]) rows_[d][i] = outbox_[i].msg;
+        if (k_ < crash_round_[d]) row(d)[i] = msg;
         TM_TRACE(trace_, TraceEvent::msg(EventKind::kMsgTimely, k_, i, d));
       } else {
         ++stats_.late_messages;
@@ -124,7 +130,7 @@ Round RoundEngine::step_impl(const Matrix& fates) {
     if (oracle_ != nullptr) {
       TM_TRACE(trace_, TraceEvent::oracle(k_, i, ld));
     }
-    outbox_[i] = procs_[i]->compute(k_, rows_[i], ld);
+    outbox_[i] = procs_[i]->compute(k_, RoundMsgs(row(i), nn), ld);
     if (!was_decided && procs_[i]->has_decided()) {
       decision_round_[i] = k_;
     }

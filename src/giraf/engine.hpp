@@ -7,8 +7,9 @@
 //   1. every alive process's pending round-k message is dispatched to its
 //      destination set D_i \ {i}; the link matrix decides each copy's fate
 //      (timely / late by d rounds / lost);
-//   2. timely copies land in the recipients' round-k row; a process's own
-//      message always appears in its own row (slot i);
+//   2. a timely message lands in its recipient's round-k row as a
+//      pointer to the sender's round-k message (no copy); a process's
+//      own message always appears in its own row (slot i);
 //   3. at end-of-round, each alive process queries the oracle and runs
 //      compute(k, row, oracle output), yielding its round-(k+1) message.
 //
@@ -124,8 +125,11 @@ class RoundEngine {
 
   std::vector<std::unique_ptr<Protocol>> procs_;
   std::shared_ptr<Oracle> oracle_;
+  std::vector<SendSpec> sending_;      ///< round-k_ messages
   std::vector<SendSpec> outbox_;       ///< round-(k_+1) messages
-  std::vector<RoundMsgs> rows_;        ///< rows of the round in progress
+  /// Rows of the round in progress, n x n, row-major by recipient:
+  /// rows_[d * n + s] points into sending_[s], or is null.
+  std::vector<const Message*> rows_;
   std::vector<Round> crash_round_;
   std::vector<Round> decision_round_;
   std::vector<InFlight> in_flight_;

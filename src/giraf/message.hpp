@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -59,11 +59,15 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// The row M_i[k][*]: message received (or not) from each sender this
-/// round. Index j holds p_j's round-k message; slot i (self) is always
-/// populated with the process's own message, per Algorithm 1's semantics
-/// ("there is no need for a process to explicitly send messages to
-/// itself").
-using RoundMsgs = std::vector<std::optional<Message>>;
+/// The row M_i[k][*]: what each sender's round-k message is, by
+/// reference. Index j points at p_j's round-k message, or is null when
+/// nothing arrived from p_j this round; slot i (self) always points at
+/// the process's own message, per Algorithm 1's semantics ("there is no
+/// need for a process to explicitly send messages to itself").
+///
+/// The row and the messages it points to are valid only during the
+/// compute() call that receives them: the caller reuses both for the
+/// next round. A protocol that keeps a message past compute() copies it.
+using RoundMsgs = std::span<const Message* const>;
 
 }  // namespace timing

@@ -78,9 +78,11 @@ class Protocol {
   virtual SendSpec initialize(ProcessId leader_hint) = 0;
 
   /// Called at the end of round k with the messages received in round k
-  /// (received.size() == n, slot = sender); returns the round-(k+1)
-  /// message.
-  virtual SendSpec compute(Round k, const RoundMsgs& received,
+  /// (received.size() == n, slot = sender, null = nothing received);
+  /// returns the round-(k+1) message. `received` and the messages it
+  /// points to live only until compute() returns: keeping one means
+  /// copying it.
+  virtual SendSpec compute(Round k, RoundMsgs received,
                            ProcessId leader_hint) = 0;
 
   /// Consensus outputs.

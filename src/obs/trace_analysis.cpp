@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -51,30 +53,35 @@ TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
   out.first_window.fill(-1);
 
   std::array<int, kTraceNumModels> streak{};
-  // Leader agreement per round: outputs keyed by process, folded into
-  // spans once the round is complete.
-  std::map<ProcessId, ProcessId> oracle_out;
+  // Leader agreement per round: each process's last output of the round
+  // (empty = none yet), folded into spans once the round is complete.
+  std::vector<std::optional<ProcessId>> oracle_out(
+      static_cast<std::size_t>(n));
+  bool oracle_any = false;
   Round oracle_round = 0;
   auto close_oracle_round = [&]() {
-    if (oracle_out.empty()) return;
-    ProcessId agreed = oracle_out.begin()->second;
-    for (const auto& [proc, ld] : oracle_out) {
-      if (ld != agreed) {
+    if (!oracle_any) return;
+    oracle_any = false;
+    std::optional<ProcessId> agreed;
+    for (std::optional<ProcessId>& ld : oracle_out) {
+      if (!ld) continue;
+      if (!agreed) {
+        agreed = *ld;
+      } else if (*ld != *agreed) {
         agreed = kNoProcess;
-        break;
       }
+      ld.reset();
     }
-    if (agreed != kNoProcess) {
+    if (*agreed != kNoProcess) {
       if (!out.leader_spans.empty() &&
-          out.leader_spans.back().leader == agreed &&
+          out.leader_spans.back().leader == *agreed &&
           out.leader_spans.back().last == oracle_round - 1) {
         out.leader_spans.back().last = oracle_round;
       } else {
         out.leader_spans.push_back(LeaderSpan{oracle_round, oracle_round,
-                                              agreed});
+                                              *agreed});
       }
     }
-    oracle_out.clear();
   };
 
   for (const TraceEvent& e : events) {
@@ -130,7 +137,10 @@ TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
           close_oracle_round();
           oracle_round = e.round;
         }
-        oracle_out[e.proc] = e.leader;
+        TM_CHECK(e.proc >= 0 && e.proc < n,
+                 "oracle output from a process outside the trial");
+        oracle_out[static_cast<std::size_t>(e.proc)] = e.leader;
+        oracle_any = true;
         break;
       case EventKind::kDecide:
         out.decides.push_back(e);
@@ -217,8 +227,17 @@ std::string validate_trial(std::span<const TraceEvent> events,
       std::any_of(events.begin(), events.end(), [](const TraceEvent& e) {
         return e.kind == EventKind::kMsgSent;
       });
-  std::set<std::pair<ProcessId, ProcessId>> sent_this_round;
-  std::set<ProcessId> decided, crashed;
+  // Links sent on in the open round, cleared at each RoundStart. The
+  // engine records each fate right after its send, so the search from
+  // the back stops at once.
+  std::vector<std::pair<ProcessId, ProcessId>> sent_this_round;
+  // Processes that decided or crashed so far, each at most once.
+  std::vector<ProcessId> decided, crashed;
+  const auto first_time = [](std::vector<ProcessId>& seen, ProcessId p) {
+    if (std::find(seen.begin(), seen.end(), p) != seen.end()) return false;
+    seen.push_back(p);
+    return true;
+  };
   // Span lifecycle (0 = unseen, 1 = begun, 2 = ended); mirrors the
   // parser's checks so programmatically-built traces are held to the
   // same contract.
@@ -302,16 +321,18 @@ std::string validate_trial(std::span<const TraceEvent> events,
     last_rank = rank;
 
     if (e.kind == EventKind::kMsgSent) {
-      sent_this_round.insert({e.src, e.dst});
+      sent_this_round.emplace_back(e.src, e.dst);
     } else if (trial_has_sends && is_msg(e.kind)) {
-      if (sent_this_round.count({e.src, e.dst}) == 0) {
+      const std::pair<ProcessId, ProcessId> link{e.src, e.dst};
+      if (std::find(sent_this_round.rbegin(), sent_this_round.rend(),
+                    link) == sent_this_round.rend()) {
         return fail("delivery/loss without a preceding send on the link");
       }
     }
-    if (e.kind == EventKind::kDecide && !decided.insert(e.proc).second) {
+    if (e.kind == EventKind::kDecide && !first_time(decided, e.proc)) {
       return fail("process decided twice");
     }
-    if (e.kind == EventKind::kCrash && !crashed.insert(e.proc).second) {
+    if (e.kind == EventKind::kCrash && !first_time(crashed, e.proc)) {
       return fail("process crashed twice");
     }
     if (e.kind == EventKind::kRoundEnd) open_round = -1;
@@ -359,12 +380,11 @@ TraceDiff diff_traces(const ParsedTrace& a, const ParsedTrace& b) {
       rep << "event counts differ: " << ta.events.size() << " vs "
           << tb.events.size() << "\n";
     }
-    // Summary-level deltas help explain what the divergence means.
-    const int na = ta.n > 0 ? ta.n : a.n;
-    const int nb = tb.n > 0 ? tb.n : b.n;
-    const int n = std::min(na, nb);
-    const TrialSummary sa = summarize_trial(ta, n, needed);
-    const TrialSummary sb = summarize_trial(tb, n, needed);
+    // Summary-level deltas help explain what the divergence means. Each
+    // side is summarized at its own group size: its events name its
+    // processes.
+    const TrialSummary sa = summarize_trial(ta, ta.n > 0 ? ta.n : a.n, needed);
+    const TrialSummary sb = summarize_trial(tb, tb.n > 0 ? tb.n : b.n, needed);
     for (int m = 0; m < kTraceNumModels; ++m) {
       const auto mi = static_cast<std::size_t>(m);
       if (sa.sat_rounds[mi] != sb.sat_rounds[mi]) {

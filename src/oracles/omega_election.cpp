@@ -39,7 +39,7 @@ SendSpec OmegaElection::initialize(ProcessId /*external_hint_ignored*/) {
   return spec;
 }
 
-SendSpec OmegaElection::compute(Round k, const RoundMsgs& received,
+SendSpec OmegaElection::compute(Round k, RoundMsgs received,
                                 ProcessId /*external_hint_ignored*/) {
   // Merge counters pointwise-max from everything received.
   for (const auto& m : received) {
@@ -52,7 +52,7 @@ SendSpec OmegaElection::compute(Round k, const RoundMsgs& received,
   // Miss detection against the leader we trusted THIS round (whose
   // message we were expecting).
   if (leader_ != self_) {
-    if (received[static_cast<std::size_t>(leader_)].has_value()) {
+    if (received[static_cast<std::size_t>(leader_)] != nullptr) {
       missed_ = 0;
     } else if (++missed_ >= kMissThreshold) {
       ++punish_[static_cast<std::size_t>(leader_)];

@@ -45,7 +45,7 @@ class OmegaElection final : public Protocol {
   OmegaElection(ProcessId self, int n, std::unique_ptr<Protocol> inner);
 
   SendSpec initialize(ProcessId leader_hint) override;
-  SendSpec compute(Round k, const RoundMsgs& received,
+  SendSpec compute(Round k, RoundMsgs received,
                    ProcessId leader_hint) override;
 
   bool has_decided() const noexcept override { return inner_->has_decided(); }

@@ -73,9 +73,9 @@ void RoundSyncRunner::receiver_loop() {
   }
 }
 
-RoundMsgs RoundSyncRunner::take_row(Round k,
-                                    std::vector<std::uint64_t>* causes) {
-  RoundMsgs row;
+RoundSyncRunner::Row RoundSyncRunner::take_row(
+    Round k, std::vector<std::uint64_t>* causes) {
+  Row row;
   auto it = buffer_.find(k);
   if (it != buffer_.end()) {
     row = std::move(it->second.row);
@@ -112,6 +112,7 @@ RoundSyncResult RoundSyncRunner::run() {
   };
   double duration_ms = base_timeout();
   int rounds_after_decide = 0;
+  std::vector<const Message*> view(static_cast<std::size_t>(n_));
 
   while (result.rounds_executed < cfg_.max_rounds) {
     const double min_ms = base_timeout() * cfg_.min_duration_fraction;
@@ -176,8 +177,8 @@ RoundSyncResult RoundSyncRunner::run() {
       }
     }
 
-    // End of round k: compute.
-    RoundMsgs row;
+    // End of round k: compute over a view of the buffered row.
+    Row row;
     std::vector<std::uint64_t> causes;
     {
       std::lock_guard lk(mu_);
@@ -194,8 +195,11 @@ RoundSyncResult RoundSyncRunner::run() {
     if (!row[static_cast<std::size_t>(self)]) {
       row[static_cast<std::size_t>(self)] = out.msg;
     }
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      view[j] = row[j] ? &*row[j] : nullptr;
+    }
     const bool was_decided = protocol_.has_decided();
-    out = protocol_.compute(k, row, hint(k));
+    out = protocol_.compute(k, view, hint(k));
     if (sp_on) spans->end(rs_id, span_kind::kRound, k);
     ++result.rounds_executed;
     if (!was_decided && protocol_.has_decided()) {

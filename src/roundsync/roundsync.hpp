@@ -23,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -92,8 +93,12 @@ class RoundSyncRunner {
   RoundSyncResult run();
 
  private:
+  /// Messages buffered for one round, by sender (copies: the receiver
+  /// thread decodes each envelope into its own Message).
+  using Row = std::vector<std::optional<Message>>;
+
   struct Buffered {
-    RoundMsgs row;
+    Row row;
     int count = 0;
     /// Wire span ids of the envelopes buffered for this round; drained
     /// by the driver (with the row) and emitted as cause edges there,
@@ -102,7 +107,7 @@ class RoundSyncRunner {
   };
 
   void receiver_loop();
-  RoundMsgs take_row(Round k, std::vector<std::uint64_t>* causes);
+  Row take_row(Round k, std::vector<std::uint64_t>* causes);
 
   Protocol& protocol_;
   Oracle* oracle_;

@@ -326,7 +326,7 @@ class ByteCounter final : public Protocol {
   SendSpec initialize(ProcessId hint) override {
     return count(inner_->initialize(hint));
   }
-  SendSpec compute(Round k, const RoundMsgs& received,
+  SendSpec compute(Round k, RoundMsgs received,
                    ProcessId hint) override {
     return count(inner_->compute(k, received, hint));
   }

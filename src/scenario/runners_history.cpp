@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "fault/chaos.hpp"
@@ -22,6 +23,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_sink.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runners.hpp"
 #include "smr/client.hpp"
 
@@ -56,6 +58,40 @@ class ChaosInstanceSampler final : public TimelinessSampler {
   fault::FaultInjector injector_;
   fault::FaultInjectedSampler injected_;
 };
+
+/// The `timing_lab run` command that re-runs trials 0..t of this gate:
+/// its seed, t + 1 trials, and every setting in which the run differs
+/// from the scenario's defaults.
+std::string replay_command(const ScenarioSpec& spec, std::size_t t,
+                           CorruptMode corrupt) {
+  const ScenarioSpec d = find_scenario("smr/linearizable")->defaults();
+  std::string cmd = "timing_lab run smr/linearizable seed=" +
+                    std::to_string(spec.seed) +
+                    " runs=" + std::to_string(t + 1);
+  const auto add = [&](const char* key, bool differs,
+                       const std::string& value) {
+    if (differs) cmd += std::string(" ") + key + "=" + value;
+  };
+  add("n", spec.n != d.n, std::to_string(spec.n));
+  add("algorithm", spec.algorithm != d.algorithm,
+      algorithm_key(spec.algorithm));
+  add("leader", scenario_leader(spec) != scenario_leader(d),
+      std::to_string(scenario_leader(spec)));
+  add("iid_p", spec.iid_p != d.iid_p, format_double(spec.iid_p));
+  add("clients", spec.clients != d.clients, std::to_string(spec.clients));
+  add("reg_keys", spec.reg_keys != d.reg_keys, std::to_string(spec.reg_keys));
+  add("append_keys", spec.append_keys != d.append_keys,
+      std::to_string(spec.append_keys));
+  add("rounds_per_run", spec.rounds_per_run != d.rounds_per_run,
+      std::to_string(spec.rounds_per_run));
+  add("fault", !spec.fault_spec.empty(),
+      "\"" + spec.fault_spec.text() + "\"");
+  add("corrupt", corrupt != CorruptMode::kNone, to_string(corrupt));
+  const bool pipelined = spec.pipeline > 1 || spec.batch > 1;
+  add("pipeline", pipelined, std::to_string(spec.pipeline));
+  add("batch", pipelined, std::to_string(spec.batch));
+  return cmd;
+}
 
 struct Trial {
   bool linearizable = true;
@@ -212,17 +248,9 @@ int run_smr_linearizable(const ScenarioSpec& spec, const RunContext& ctx) {
               r += to_jsonl(op) + "\n";
             }
           }
-          r += "replay: timing_lab run smr/linearizable seed=" +
-               std::to_string(spec.seed) + " runs=" + std::to_string(t + 1) +
-               (have_fixed ? " fault=\"" + spec.fault_spec.text() + "\""
-                           : "") +
-               (corrupt != CorruptMode::kNone
-                    ? std::string(" corrupt=") + to_string(corrupt)
-                    : "") +
-               (pipelined ? " pipeline=" + std::to_string(spec.pipeline) +
-                                " batch=" + std::to_string(spec.batch)
-                          : "") +
-               "\n";
+          r += "replay: " + replay_command(spec, t, corrupt) + "\n" +
+               "(it re-runs trials 0.." + std::to_string(t) +
+               ", this one last)\n";
           out.report = r;
         }
         if (ctx.trace) {

@@ -4,8 +4,11 @@
 // and a RoundEngine steps the protocols over it. Once warm, that loop
 // must not touch the heap: the schedule is drawn straight into the bit
 // plane, the repair keeps its process lists as member scratch, and a
-// send's destination set is a value. This binary replaces the global
-// operator new with a counting one, so it holds only this test.
+// send's destination set is a value. A whole chaos execution (set-up,
+// rounds, and the trace checks over the recorded events) allocates
+// only per execution, never per round or per message. This binary
+// replaces the global operator new with a counting one, so it holds
+// only these tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +18,7 @@
 #include <new>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "consensus/factory.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
@@ -108,6 +112,52 @@ TEST(ChaosRoundAllocations, WarmRoundsDoNotAllocate) {
     // ... and the bound leaves room for that queue to grow past its
     // warm-up high-water mark a few times.
     EXPECT_LT(allocations_in_warm_rounds(kind, 200, 1000), 20)
+        << algorithm_key(kind);
+  }
+#endif
+}
+
+/// Mean heap allocations per fault::run_chaos_algorithm execution of
+/// `kind` at n = 5, each under its own random plan, over `runs`
+/// executions that follow `warm` ones on the same thread.
+double allocations_per_execution(AlgorithmKind kind, int warm, int runs) {
+  constexpr int kN = 5;
+  constexpr ProcessId kLeader = 0;
+  constexpr std::uint64_t kSeed = 20261019;
+  std::vector<fault::ChaosTrialConfig> configs(
+      static_cast<std::size_t>(warm + runs));
+  for (std::size_t t = 0; t < configs.size(); ++t) {
+    fault::ChaosTrialConfig& cfg = configs[t];
+    cfg.n = kN;
+    cfg.leader = kLeader;
+    cfg.seed = substream_seed(kSeed, t);
+    cfg.plan = fault::random_fault_plan(kN, kLeader, cfg.seed);
+    cfg.max_rounds =
+        fault::round_cap(kind, cfg.plan.gsr, fault::kChaosRoundFloor);
+  }
+  long long before = 0;
+  for (std::size_t t = 0; t < configs.size(); ++t) {
+    if (t == static_cast<std::size_t>(warm)) {
+      before = g_allocations.load(std::memory_order_relaxed);
+    }
+    const fault::ChaosRunResult r = fault::run_chaos_algorithm(kind, configs[t]);
+    EXPECT_TRUE(r.safety_ok) << algorithm_key(kind) << " " << r.violation;
+  }
+  return static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                             before) /
+         runs;
+}
+
+TEST(ChaosRoundAllocations, WarmExecutionsAllocateOnlyPerExecution) {
+#if defined(TIMING_SANITIZED_ALLOCATOR)
+  GTEST_SKIP() << "the sanitizer's allocator replaces the counting one";
+#else
+  for (const AlgorithmKind kind : {AlgorithmKind::kWlm, AlgorithmKind::kPaxos}) {
+    // An execution runs about 15 rounds. Its set-up (protocols, engine,
+    // sampler, injector) and its summary allocate a few dozen times; a
+    // per-round or per-message allocation anywhere on the path adds
+    // more than the bound's slack.
+    EXPECT_LT(allocations_per_execution(kind, 200, 1000), 80.0)
         << algorithm_key(kind);
   }
 #endif

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "consensus/factory.hpp"
@@ -18,6 +19,24 @@
 
 namespace timing {
 namespace {
+
+/// A hand-built row: the messages held by value, handed to compute() as
+/// the RoundMsgs view the engine builds.
+class Row {
+ public:
+  explicit Row(std::size_t n) : msgs_(n), view_(n, nullptr) {}
+  std::optional<Message>& operator[](std::size_t j) { return msgs_[j]; }
+  operator RoundMsgs() {
+    for (std::size_t j = 0; j < msgs_.size(); ++j) {
+      view_[j] = msgs_[j] ? &*msgs_[j] : nullptr;
+    }
+    return view_;
+  }
+
+ private:
+  std::vector<std::optional<Message>> msgs_;
+  std::vector<const Message*> view_;
+};
 
 Message msg(MsgType t, Value est, Timestamp ts, ProcessId leader = kNoProcess,
             bool maj_approved = false) {
@@ -51,7 +70,7 @@ TEST(WlmUnit, LeaderBroadcasts) {
 TEST(WlmUnit, Decide1OnReceivedDecide) {
   WlmConsensus p(0, 3, 5);
   SendSpec init = p.initialize(1);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = init.msg;
   row[2] = msg(MsgType::kDecide, 99, 4);
   SendSpec out = p.compute(1, row, 1);
@@ -66,7 +85,7 @@ TEST(WlmUnit, CommitRuleAdoptsLeaderEstimateWithRoundTimestamp) {
   // majApproved triggers the commit rule (line 28): ts <- k.
   WlmConsensus p(0, 3, 5);
   SendSpec init = p.initialize(1);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = init.msg;
   row[1] = msg(MsgType::kPrepare, 77, 0, 1, /*maj_approved=*/true);
   SendSpec out = p.compute(4, row, 1);
@@ -80,7 +99,7 @@ TEST(WlmUnit, CommitRuleAdoptsLeaderEstimateWithRoundTimestamp) {
 TEST(WlmUnit, NoCommitWithoutMajApproved) {
   WlmConsensus p(0, 3, 5);
   SendSpec init = p.initialize(1);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = init.msg;
   row[1] = msg(MsgType::kPrepare, 77, 2, 1, /*maj_approved=*/false);
   SendSpec out = p.compute(1, row, 1);
@@ -93,7 +112,7 @@ TEST(WlmUnit, NoCommitWithoutMajApproved) {
 TEST(WlmUnit, MaxEstBreaksTimestampTiesByValueOrder) {
   WlmConsensus p(0, 4, 1);
   SendSpec init = p.initialize(3);
-  RoundMsgs row(4);
+  Row row(4);
   row[0] = init.msg;
   row[1] = msg(MsgType::kPrepare, 50, 2);
   row[2] = msg(MsgType::kPrepare, 60, 2);
@@ -107,7 +126,7 @@ TEST(WlmUnit, MajApprovedComputedFromLeaderVotes) {
   // message.
   WlmConsensus p(0, 3, 5);
   SendSpec init = p.initialize(0);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = init.msg;  // names p0 (own oracle)
   row[1] = msg(MsgType::kPrepare, 8, 0, /*leader=*/0);
   SendSpec out = p.compute(1, row, 0);
@@ -115,7 +134,7 @@ TEST(WlmUnit, MajApprovedComputedFromLeaderVotes) {
 
   WlmConsensus q(0, 3, 5);
   SendSpec qinit = q.initialize(0);
-  RoundMsgs row2(3);
+  Row row2(3);
   row2[0] = qinit.msg;
   row2[1] = msg(MsgType::kPrepare, 8, 0, /*leader=*/2);
   SendSpec out2 = q.compute(1, row2, 0);
@@ -132,14 +151,14 @@ TEST(WlmUnit, Decide23NeedsOwnCommitAndOwnMajApproved) {
   // Round 3: p0 sees itself majority-approved (own + p1 name it leader)
   // and its own message with majApproved -> commit rule fires next round;
   // first make majApproved true.
-  RoundMsgs r3(3);
+  Row r3(3);
   r3[0] = init.msg;                                  // leader = 0
   r3[1] = msg(MsgType::kPrepare, 7, 0, /*leader=*/0);  // votes for p0
   SendSpec after3 = p.compute(3, r3, 0);
   ASSERT_TRUE(after3.msg.maj_approved);
 
   // Round 4: own message has majApproved -> commit on own estimate.
-  RoundMsgs r4(3);
+  Row r4(3);
   r4[0] = after3.msg;
   r4[1] = msg(MsgType::kPrepare, 7, 0, /*leader=*/0);
   SendSpec after4 = p.compute(4, r4, 0);
@@ -148,7 +167,7 @@ TEST(WlmUnit, Decide23NeedsOwnCommitAndOwnMajApproved) {
   ASSERT_TRUE(after4.msg.maj_approved);
 
   // Round 5: majority of COMMITs including own, own majApproved -> decide.
-  RoundMsgs r5(3);
+  Row r5(3);
   r5[0] = after4.msg;
   r5[1] = msg(MsgType::kCommit, 11, 4, /*leader=*/0);
   SendSpec out = p.compute(5, r5, 0);
@@ -160,7 +179,7 @@ TEST(WlmUnit, Decide23NeedsOwnCommitAndOwnMajApproved) {
 TEST(WlmUnit, NoDecideWhenOwnMajApprovedFalse) {
   WlmConsensus p(0, 3, 5);
   p.initialize(0);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = msg(MsgType::kCommit, 11, 3, 0, /*maj_approved=*/false);
   row[1] = msg(MsgType::kCommit, 11, 3, 0, true);
   p.compute(4, row, 0);
@@ -170,12 +189,12 @@ TEST(WlmUnit, NoDecideWhenOwnMajApprovedFalse) {
 TEST(WlmUnit, DecidedProcessKeepsSendingDecide) {
   WlmConsensus p(0, 3, 5);
   p.initialize(1);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = msg(MsgType::kPrepare, 5, 0, 1);
   row[2] = msg(MsgType::kDecide, 99, 4);
   p.compute(1, row, 1);
   ASSERT_TRUE(p.has_decided());
-  RoundMsgs row2(3);
+  Row row2(3);
   row2[0] = msg(MsgType::kDecide, 99, 0, 1);
   SendSpec out = p.compute(2, row2, 1);
   EXPECT_EQ(out.msg.type, MsgType::kDecide);
@@ -246,7 +265,7 @@ TEST(WlmBounds, StableStateMessageComplexityIsLinear) {
 TEST(UnanimityUnit, CommitNeedsMajorityAndUnanimity) {
   UnanimityConsensus p(0, 4, 5);
   SendSpec init = p.initialize(kNoProcess);
-  RoundMsgs row(4);
+  Row row(4);
   row[0] = init.msg;
   row[1] = msg(MsgType::kPrepare, 5, 0);
   SendSpec out = p.compute(1, row, kNoProcess);
@@ -272,7 +291,7 @@ TEST(UnanimityUnit, CommitNeedsMajorityAndUnanimity) {
 TEST(UnanimityUnit, Decide2NeedsFreshCommits) {
   UnanimityConsensus p(0, 3, 5);
   p.initialize(kNoProcess);
-  RoundMsgs row(3);
+  Row row(3);
   row[0] = msg(MsgType::kCommit, 5, 3);  // own commit from round 3
   row[1] = msg(MsgType::kCommit, 5, 3);
   p.compute(4, row, kNoProcess);  // k-1 == 3: fresh
@@ -281,7 +300,7 @@ TEST(UnanimityUnit, Decide2NeedsFreshCommits) {
 
   UnanimityConsensus q(0, 3, 5);
   q.initialize(kNoProcess);
-  RoundMsgs row2(3);
+  Row row2(3);
   row2[0] = msg(MsgType::kCommit, 5, 2);  // stale commits (ts != k-1)
   row2[1] = msg(MsgType::kCommit, 5, 2);
   q.compute(4, row2, kNoProcess);
@@ -326,7 +345,7 @@ TEST(UnanimityBounds, AfmDecidesInFiveRoundsFromGsr) {
 TEST(Lm3Unit, CommitNeedsVotesAndCertificate) {
   Lm3Consensus p(0, 4, 5);
   SendSpec init = p.initialize(1);
-  RoundMsgs row(4);
+  Row row(4);
   row[0] = init.msg;
   Message lead = msg(MsgType::kPrepare, 42, 0, /*leader=*/1);
   lead.heard_maj = true;
@@ -353,11 +372,11 @@ TEST(Lm3Unit, CommitNeedsVotesAndCertificate) {
 TEST(Lm3Unit, HeardMajReflectsPreviousRound) {
   Lm3Consensus p(0, 4, 1);
   SendSpec init = p.initialize(1);
-  RoundMsgs row(4);
+  Row row(4);
   row[0] = init.msg;
   SendSpec out = p.compute(1, row, 1);
   EXPECT_FALSE(out.msg.heard_maj) << "heard only itself";
-  RoundMsgs row2(4);
+  Row row2(4);
   row2[0] = out.msg;
   row2[1] = msg(MsgType::kPrepare, 1, 0, 1);
   row2[2] = msg(MsgType::kPrepare, 2, 0, 1);
@@ -410,13 +429,13 @@ TEST(LmOverWlm, InnerRoundsAreHalfOuterRounds) {
   LmOverWlmSimulation sim(0, 4, std::move(inner));
   SendSpec s = sim.initialize(1);
   EXPECT_NE(s.msg.type, MsgType::kRelay) << "round 1 carries inner message";
-  RoundMsgs row(4);
+  Row row(4);
   row[0] = s.msg;
   SendSpec relay = sim.compute(1, row, 1);
   EXPECT_EQ(relay.msg.type, MsgType::kRelay);
   ASSERT_EQ(relay.msg.relay_from.size(), 1u);
   EXPECT_EQ(relay.msg.relay_from[0], 0);
-  RoundMsgs row2(4);
+  Row row2(4);
   row2[0] = relay.msg;
   SendSpec inner_out = sim.compute(2, row2, 1);
   EXPECT_NE(inner_out.msg.type, MsgType::kRelay);

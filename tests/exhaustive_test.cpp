@@ -117,11 +117,14 @@ SysState initial_state(AlgorithmKind kind, const std::vector<Value>& props,
 // Executes one round with the 6-bit delivery mask. Bit b corresponds to
 // the b-th off-diagonal (dst, src) pair in row-major order.
 void step(SysState& s, unsigned mask, const OracleFn& oracle) {
-  RoundMsgs rows[kN];
-  for (auto& row : rows) row.assign(kN, std::nullopt);
+  // As in the engine, the rows point into this round's sends and
+  // compute() refills the outbox.
+  std::vector<SendSpec> sending;
+  sending.swap(s.outbox);
+  s.outbox.resize(kN);
+  const Message* rows[kN][kN] = {};
   for (ProcessId i = 0; i < kN; ++i) {
-    rows[i][static_cast<std::size_t>(i)] =
-        s.outbox[static_cast<std::size_t>(i)].msg;
+    rows[i][i] = &sending[static_cast<std::size_t>(i)].msg;
   }
   int bit = 0;
   for (ProcessId dst = 0; dst < kN; ++dst) {
@@ -130,10 +133,10 @@ void step(SysState& s, unsigned mask, const OracleFn& oracle) {
       const bool delivered = (mask >> bit) & 1u;
       ++bit;
       if (!delivered) continue;
-      const auto& spec = s.outbox[static_cast<std::size_t>(src)];
+      const auto& spec = sending[static_cast<std::size_t>(src)];
       for (ProcessId d : spec.dests) {
         if (d == dst) {
-          rows[dst][static_cast<std::size_t>(src)] = spec.msg;
+          rows[dst][src] = &spec.msg;
           break;
         }
       }

@@ -5,6 +5,7 @@
 // numbers exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -229,6 +230,158 @@ TEST(ValidateTrace, CatchesOrderingViolations) {
             "");
   // An open round must be closed.
   EXPECT_NE(validate_trace(wrap({TraceEvent::round_start(1)})), "");
+}
+
+/// validate_trial over events held in a vector.
+std::string validate_events(const std::vector<TraceEvent>& events,
+                            int trial_id = 0) {
+  return validate_trial(events, trial_id);
+}
+
+TEST(ValidateTrace, NamesTheFirstViolationsEventKindAndRound) {
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(1),
+                TraceEvent::decide(1, 0, 7, decide_rule::kForwarded),
+                TraceEvent::round_end(1),
+                TraceEvent::round_start(2),
+                TraceEvent::decide(2, 1, 7, decide_rule::kForwarded),
+                TraceEvent::decide(2, 0, 7, decide_rule::kForwarded),
+                TraceEvent::round_end(2),
+            }, 4),
+            "trial 4 event 5 (decide, round 2): process decided twice");
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(3),
+                TraceEvent::crash(3, 2),
+                TraceEvent::crash(3, 1),
+                TraceEvent::crash(3, 2),
+                TraceEvent::round_end(3),
+            }),
+            "trial 0 event 3 (crash, round 3): process crashed twice");
+  // A send covers its link for the round it was made in only.
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(1),
+                TraceEvent::msg(EventKind::kMsgSent, 1, 0, 1),
+                TraceEvent::msg(EventKind::kMsgTimely, 1, 0, 1),
+                TraceEvent::round_end(1),
+                TraceEvent::round_start(2),
+                TraceEvent::msg(EventKind::kMsgSent, 2, 1, 0),
+                TraceEvent::msg(EventKind::kMsgTimely, 2, 1, 0),
+                TraceEvent::msg(EventKind::kMsgTimely, 2, 0, 1),
+                TraceEvent::round_end(2),
+            }, 2),
+            "trial 2 event 7 (timely, round 2): delivery/loss without a "
+            "preceding send on the link");
+  // A send covers its own direction only.
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(1),
+                TraceEvent::msg(EventKind::kMsgSent, 1, 0, 1),
+                TraceEvent::msg(EventKind::kMsgSent, 1, 0, 2),
+                TraceEvent::msg(EventKind::kMsgLost, 1, 0, 2),
+                TraceEvent::msg(EventKind::kMsgLate, 1, 1, 0, 2),
+                TraceEvent::round_end(1),
+            }),
+            "trial 0 event 4 (late, round 1): delivery/loss without a "
+            "preceding send on the link");
+}
+
+TEST(ValidateTrace, HoldsProcessIdsPast63ToTheSameRules) {
+  const std::vector<TraceEvent> valid = {
+      TraceEvent::round_start(1),
+      TraceEvent::crash(1, 64),
+      TraceEvent::msg(EventKind::kMsgSent, 1, 70, 100),
+      TraceEvent::msg(EventKind::kMsgSent, 1, 100, 70),
+      TraceEvent::msg(EventKind::kMsgSent, 1, 0, 127),
+      TraceEvent::msg(EventKind::kMsgTimely, 1, 100, 70),
+      TraceEvent::msg(EventKind::kMsgLost, 1, 70, 100),
+      TraceEvent::msg(EventKind::kMsgTimely, 1, 0, 127),
+      TraceEvent::decide(1, 100, 7, decide_rule::kForwarded),
+      TraceEvent::decide(1, 36, 7, decide_rule::kForwarded),
+      TraceEvent::decide(1, 70, 7, decide_rule::kForwarded),
+      TraceEvent::round_end(1),
+  };
+  EXPECT_EQ(validate_trial(valid), "");
+
+  // One event inserted at `at` into the valid trial.
+  auto with = [&](std::size_t at, TraceEvent e) {
+    std::vector<TraceEvent> events = valid;
+    events.insert(events.begin() + static_cast<std::ptrdiff_t>(at), e);
+    return events;
+  };
+  EXPECT_EQ(validate_trial(with(8, TraceEvent::msg(EventKind::kMsgLost, 1,
+                                                   127, 0))),
+            "trial 0 event 8 (lost, round 1): delivery/loss without a "
+            "preceding send on the link");
+  EXPECT_EQ(validate_trial(with(11, TraceEvent::decide(
+                                        1, 100, 7, decide_rule::kForwarded))),
+            "trial 0 event 11 (decide, round 1): process decided twice");
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(5),
+                TraceEvent::crash(5, 64),
+                TraceEvent::crash(5, 0),
+                TraceEvent::crash(5, 65),
+                TraceEvent::crash(5, 64),
+                TraceEvent::round_end(5),
+            }),
+            "trial 0 event 4 (crash, round 5): process crashed twice");
+  EXPECT_EQ(validate_events({
+                TraceEvent::round_start(1),
+                TraceEvent::msg(EventKind::kMsgSent, 1, 1, 0),
+                TraceEvent::msg(EventKind::kMsgSent, 1, 64, 65),
+                TraceEvent::msg(EventKind::kMsgTimely, 1, 1, 0),
+                TraceEvent::msg(EventKind::kMsgTimely, 1, 64, 65),
+                TraceEvent::msg(EventKind::kMsgTimely, 1, 0, 64),
+                TraceEvent::round_end(1),
+            }),
+            "trial 0 event 5 (timely, round 1): delivery/loss without a "
+            "preceding send on the link");
+}
+
+// A round's leader is agreed when every process that reported an oracle
+// output reported the same one; a process reporting twice in a round
+// counts with its last output.
+TEST(SummarizeTrial, LeaderSpansFoldEachProcesssLastOutputPerRound) {
+  const auto spans = [](std::vector<TraceEvent> events) {
+    return summarize_trial(events, 4, {3, 3, 4, 5}).leader_spans;
+  };
+  // Disagreement breaks the span; agreement resumes a new one.
+  EXPECT_EQ(spans({
+                TraceEvent::oracle(1, 0, 1), TraceEvent::oracle(1, 1, 1),
+                TraceEvent::oracle(1, 2, 1), TraceEvent::oracle(1, 3, 1),
+                TraceEvent::oracle(2, 0, 1), TraceEvent::oracle(2, 1, 2),
+                TraceEvent::oracle(2, 2, 1), TraceEvent::oracle(2, 3, 1),
+                TraceEvent::oracle(3, 0, 1), TraceEvent::oracle(3, 1, 1),
+                TraceEvent::oracle(4, 0, 1), TraceEvent::oracle(4, 1, 1),
+            }),
+            (std::vector<LeaderSpan>{{1, 1, 1}, {3, 4, 1}}));
+  // Outputs out of process order, and processes skipped, still agree;
+  // a round with no outputs at all ends the span.
+  EXPECT_EQ(spans({
+                TraceEvent::oracle(1, 3, 2), TraceEvent::oracle(1, 0, 2),
+                TraceEvent::oracle(1, 2, 2),
+                TraceEvent::oracle(2, 2, 2), TraceEvent::oracle(2, 1, 2),
+                TraceEvent::oracle(4, 1, 2),
+                TraceEvent::oracle(5, 3, 0), TraceEvent::oracle(5, 0, 0),
+            }),
+            (std::vector<LeaderSpan>{{1, 2, 2}, {4, 4, 2}, {5, 5, 0}}));
+  // A process that reports twice in a round counts with its last output.
+  EXPECT_EQ(spans({
+                TraceEvent::oracle(1, 0, 1), TraceEvent::oracle(1, 1, 2),
+                TraceEvent::oracle(1, 0, 2),
+                TraceEvent::oracle(2, 0, 2), TraceEvent::oracle(2, 1, 2),
+                TraceEvent::oracle(2, 1, 3),
+                TraceEvent::oracle(3, 3, 2), TraceEvent::oracle(3, 3, 3),
+                TraceEvent::oracle(3, 3, 2),
+            }),
+            (std::vector<LeaderSpan>{{1, 1, 2}, {3, 3, 2}}));
+  // Other events in between do not close the round.
+  EXPECT_EQ(spans({
+                TraceEvent::round_start(1),
+                TraceEvent::oracle(1, 1, 3),
+                TraceEvent::decide(1, 1, 7, decide_rule::kForwarded),
+                TraceEvent::oracle(1, 0, 3),
+                TraceEvent::round_end(1),
+            }),
+            (std::vector<LeaderSpan>{{1, 1, 3}}));
 }
 
 // ---------------------------------------------------------------------
@@ -504,6 +657,35 @@ TEST(DiffTraces, ReportsFirstDivergence) {
   const TraceDiff d = diff_traces(a, b);
   EXPECT_FALSE(d.identical);
   EXPECT_NE(d.report.find("first divergence"), std::string::npos);
+}
+
+TEST(DiffTraces, SummarizesEachSideAtItsOwnGroupSize) {
+  WlmRun run = tiny_wlm_run();
+  const ParsedTrace a = wrap(run.sink.events(), 3);
+  // The same run with a fourth process that sends once and reports an
+  // oracle output: its events index past a 3-process summary's tables.
+  std::vector<TraceEvent> events = run.sink.events();
+  const auto end1 = std::find_if(
+      events.begin(), events.end(),
+      [](const TraceEvent& e) { return e.kind == EventKind::kRoundEnd; });
+  ASSERT_NE(end1, events.end());
+  events.insert(end1, {TraceEvent::oracle(1, 3, 0)});
+  const auto sent = std::find_if(
+      events.begin(), events.end(),
+      [](const TraceEvent& e) { return e.kind == EventKind::kMsgSent; });
+  ASSERT_NE(sent, events.end());
+  events.insert(sent, {TraceEvent::msg(EventKind::kMsgSent, 1, 3, 0),
+                       TraceEvent::msg(EventKind::kMsgLost, 1, 3, 0)});
+  const ParsedTrace b = wrap(events, 4);
+  EXPECT_EQ(validate_trace(b), "");
+
+  const TraceDiff d = diff_traces(a, b);
+  EXPECT_FALSE(d.identical);
+  EXPECT_NE(d.report.find("group size differs: 3 vs 4\n"), std::string::npos)
+      << d.report;
+  EXPECT_NE(d.report.find("message fates (timely/late/lost): "),
+            std::string::npos)
+      << d.report;
 }
 
 // Writes a trace for the ctest-level `trace_tool validate` run (see

@@ -201,7 +201,7 @@ TEST(RoundSync, HonoursMaxRounds) {
     SendSpec initialize(ProcessId) override {
       return {Message{}, Destinations::all(n_)};
     }
-    SendSpec compute(Round, const RoundMsgs&, ProcessId) override {
+    SendSpec compute(Round, RoundMsgs, ProcessId) override {
       return {Message{}, Destinations::all(n_)};
     }
     bool has_decided() const noexcept override { return false; }

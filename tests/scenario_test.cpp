@@ -697,6 +697,50 @@ TEST(ChaosReplayTest, ViolationReportsReplayTheirTrial) {
   if (replayed == 0) GTEST_SKIP() << "no chaos violation to replay";
 }
 
+/// One trial's report in smr/linearizable's output: from its "trial t ("
+/// line up to and including its replay line; "" if there is none.
+std::string smr_trial_report(const std::string& out, int t) {
+  const std::size_t at = out.find("\ntrial " + std::to_string(t) + " (");
+  if (at == std::string::npos) return "";
+  const std::size_t replay = out.find("\nreplay: ", at + 1);
+  if (replay == std::string::npos) return "";
+  return out.substr(at + 1, out.find('\n', replay + 1) - at);
+}
+
+/// smr/linearizable's header line without its trial count.
+std::string smr_header_settings(const std::string& out) {
+  const std::string header = out.substr(0, out.find('\n'));
+  const std::size_t trials = header.find(" trials, ");
+  return trials == std::string::npos ? header : header.substr(trials);
+}
+
+// smr/linearizable's replay line, fed back to timing_lab, re-runs the
+// reported trial under the same configuration: every setting below
+// differs from the scenario's defaults.
+TEST(SmrReplayTest, ReplayLineRerunsTheReportedTrial) {
+  const LabRun run = run_lab(
+      {"timing_lab", "run", "smr/linearizable", "--no-jsonl", "runs=3",
+       "corrupt=stale", "n=4", "algorithm=paxos", "leader=1", "iid_p=0.3725",
+       "clients=8", "reg_keys=3", "append_keys=2", "rounds_per_run=70"});
+  EXPECT_EQ(run.rc, 1) << run.out;
+  const std::string report = smr_trial_report(run.out, 1);
+  ASSERT_NE(report, "") << run.out;
+  const std::size_t replay = report.find("replay: ");
+  const std::string line =
+      report.substr(replay + 8, report.find('\n', replay) - replay - 8);
+  EXPECT_NE(run.out.find(report + "(it re-runs trials 0..1, this one last)"),
+            std::string::npos)
+      << run.out;
+
+  std::vector<std::string> words = shell_words(line);
+  words.push_back("--no-jsonl");
+  const LabRun again = run_lab(words);
+  EXPECT_EQ(again.rc, 1) << line << "\n" << again.out;
+  EXPECT_EQ(smr_trial_report(again.out, 1), report) << line;
+  EXPECT_EQ(smr_header_settings(again.out), smr_header_settings(run.out))
+      << line;
+}
+
 // ---------------------------------------------------------------------------
 // Results JSONL
 // ---------------------------------------------------------------------------
