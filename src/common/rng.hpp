@@ -6,6 +6,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace timing {
@@ -52,6 +53,17 @@ class Rng {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform() < p; }
+
+  /// The same trial as an integer compare: for every draw, bernoulli(p)
+  /// equals (next() >> 11) < bernoulli_threshold(p). uniform() scales the
+  /// 53-bit value x by 2^-53 exactly, and an integer x is below the real
+  /// p * 2^53 iff it is below its ceiling; clamped to [0, 2^53], and 0
+  /// for p <= 0 or NaN (no x is below them).
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return 1ULL << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
 
   /// Standard normal via Box-Muller (caches the spare deviate).
   double normal() noexcept;

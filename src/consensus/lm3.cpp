@@ -43,7 +43,7 @@ SendSpec Lm3Consensus::compute(Round k, RoundMsgs received,
   int heard = 0;
   Timestamp max_ts = 0;
   bool first = true;
-  std::vector<int> votes(static_cast<std::size_t>(n_), 0);
+  votes_.assign(static_cast<std::size_t>(n_), 0);
   for (const auto& m : received) {
     if (!m) continue;
     ++heard;
@@ -53,7 +53,7 @@ SendSpec Lm3Consensus::compute(Round k, RoundMsgs received,
     } else {
       max_ts = std::max(max_ts, m->ts);
     }
-    if (m->leader >= 0 && m->leader < n_) ++votes[m->leader];
+    if (m->leader >= 0 && m->leader < n_) ++votes_[m->leader];
   }
 
   // These feed the *next* round's message.
@@ -92,7 +92,7 @@ SendSpec Lm3Consensus::compute(Round k, RoundMsgs received,
   // commit: the unique majority-named leader's certified estimate.
   ProcessId named = kNoProcess;
   for (ProcessId q = 0; q < n_; ++q) {
-    if (votes[q] > n_ / 2) {
+    if (votes_[q] > n_ / 2) {
       named = q;
       break;  // at most one process can have majority votes
     }

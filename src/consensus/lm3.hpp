@@ -32,6 +32,8 @@
 // GSR+2, i.e. 3 rounds.
 #pragma once
 
+#include <vector>
+
 #include "giraf/protocol.hpp"
 
 namespace timing {
@@ -64,6 +66,8 @@ class Lm3Consensus final : public Protocol {
   bool heard_maj_ = false;
   MsgType msg_type_ = MsgType::kPrepare;
   Value dec_ = kNoValue;
+  /// compute()'s leader tally, kept so a warm round allocates nothing.
+  std::vector<int> votes_;
 };
 
 }  // namespace timing

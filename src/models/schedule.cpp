@@ -16,11 +16,24 @@ namespace {
 constexpr double kPostGsrExtraP = 0.5;
 /// Share of untimely messages that are lost rather than late.
 constexpr double kUntimelyLossShare = 0.4;
+/// Probability that a late message stays one more round late ...
+constexpr double kLateP = 0.4;
+/// ... up to this many rounds.
+constexpr int kMaxLate = 8;
+
+/// Timeliness of the links drawn from GSR on, before the repair.
+double post_gsr_p(const ScheduleConfig& cfg) {
+  return cfg.minimal ? 0.0 : kPostGsrExtraP;
+}
 
 }  // namespace
 
 ScheduleSampler::ScheduleSampler(const ScheduleConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed) {
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      pre_gsr_fates_(cfg.pre_gsr_p, kUntimelyLossShare, kLateP, kMaxLate),
+      post_gsr_fates_(post_gsr_p(cfg), kUntimelyLossShare, kLateP,
+                      kMaxLate) {
   TM_CHECK(cfg_.n > 1, "schedule needs n > 1");
   TM_CHECK(cfg_.leader >= 0 && cfg_.leader < cfg_.n, "leader out of range");
   TM_CHECK(cfg_.gsr >= 1, "GSR is a round number >= 1");
@@ -43,11 +56,12 @@ bool ScheduleSampler::alive(ProcessId i, Round k) const noexcept {
 Delay ScheduleSampler::untimely_fate() {
   if (rng_.bernoulli(kUntimelyLossShare)) return kLost;
   Delay d = 1;
-  while (rng_.bernoulli(0.4) && d < 8) ++d;
+  while (rng_.bernoulli(kLateP) && d < kMaxLate) ++d;
   return d;
 }
 
-void ScheduleSampler::fill_random(LinkMatrix& out, double p) {
+void ScheduleSampler::fill_random(LinkMatrix& out, bool pre_gsr) {
+  const double p = pre_gsr ? cfg_.pre_gsr_p : post_gsr_p(cfg_);
   for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
     for (ProcessId src = 0; src < cfg_.n; ++src) {
       if (src == dst) {
@@ -59,21 +73,9 @@ void ScheduleSampler::fill_random(LinkMatrix& out, double p) {
   }
 }
 
-// The same draws, in the same order, written as bits: each row is
-// cleared, then gets its self bit and its timely bits; a late or lost
-// cell keeps its bit 0 and has its fate stored in the delay plane.
-void ScheduleSampler::fill_random(PackedLinkMatrix& out, double p) {
-  for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    std::fill_n(row, out.words_per_row(), 0);
-    for (ProcessId src = 0; src < cfg_.n; ++src) {
-      if (src == dst || rng_.bernoulli(p)) {
-        out.set_timely(dst, src);
-      } else {
-        out.store_untimely(dst, src, untimely_fate());
-      }
-    }
-  }
+// The same draws, in the same order, as a table walk (sim/sampler.hpp).
+void ScheduleSampler::fill_random(PackedLinkMatrix& out, bool pre_gsr) {
+  (pre_gsr ? pre_gsr_fates_ : post_gsr_fates_).fill(rng_, out);
 }
 
 template <class Matrix>
@@ -182,12 +184,10 @@ void ScheduleSampler::repair_to_model(Matrix& out, Round k) {
 
 template <class Matrix>
 void ScheduleSampler::sample(Round k, Matrix& out) {
-  if (k < cfg_.gsr) {
-    fill_random(out, cfg_.pre_gsr_p);
-    return;
-  }
-  fill_random(out, cfg_.minimal ? 0.0 : kPostGsrExtraP);
-  repair_to_model(out, k);
+  TM_CHECK(out.n() == cfg_.n, "matrix size must match the schedule's n");
+  const bool pre_gsr = k < cfg_.gsr;
+  fill_random(out, pre_gsr);
+  if (!pre_gsr) repair_to_model(out, k);
 }
 
 void ScheduleSampler::sample_round(Round k, LinkMatrix& out) {
@@ -195,7 +195,6 @@ void ScheduleSampler::sample_round(Round k, LinkMatrix& out) {
 }
 
 void ScheduleSampler::sample_round(Round k, PackedLinkMatrix& out) {
-  TM_CHECK(out.n() == cfg_.n, "matrix size must match the schedule's n");
   sample(k, out);
 }
 

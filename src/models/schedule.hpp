@@ -12,12 +12,16 @@
 //    <>WLM this is what separates Algorithm 2 from Paxos).
 //
 // The packed sample_round is the one the engine and the chaos and SMR
-// gates run: it draws each row straight into the bit plane and records
-// late/lost fates in the delay plane, and the repair edits bits. It
-// consumes the RNG in the scalar overload's per-cell (dst, src) order,
-// so both overloads give the same fates for the same seed; the scalar
-// one stays as the reference tests hold the packed one to. A warm round
-// allocates nothing: the repair's process lists are member scratch.
+// gates run. A FateWalk (sim/sampler.hpp) draws every cell's fate into
+// the delay plane without branching on the draws and then sets the
+// timely cells' bits, and the repair edits bits. It consumes the RNG in
+// the scalar overload's per-cell (dst, src) order, draw for draw, so
+// both overloads give the same fates for the same seed and the repair's
+// shuffles see the same generator state; the scalar one stays as the
+// reference tests hold the packed one to. The walks' thresholds are set
+// once per sampler. A warm round allocates nothing: the fates live in
+// the matrix's own delay plane, and the repair's process lists are
+// member scratch.
 #pragma once
 
 #include <cstdint>
@@ -66,15 +70,20 @@ class ScheduleSampler final : public TimelinessSampler {
  private:
   template <class Matrix>
   void sample(Round k, Matrix& out);
-  void fill_random(LinkMatrix& out, double p);
-  void fill_random(PackedLinkMatrix& out, double p);
+  /// Draws every off-diagonal cell at the pre- or post-GSR timeliness.
+  void fill_random(LinkMatrix& out, bool pre_gsr);
+  void fill_random(PackedLinkMatrix& out, bool pre_gsr);
   template <class Matrix>
   void repair_to_model(Matrix& out, Round k);
   bool alive(ProcessId i, Round k) const noexcept;
+  /// The scalar fill's late-or-lost fate draw.
   Delay untimely_fate();
 
   ScheduleConfig cfg_;
   Rng rng_;
+  /// The packed fill's draws before and from GSR on.
+  FateWalk pre_gsr_fates_;
+  FateWalk post_gsr_fates_;
   /// True iff link_models names a non-all-sync matrix (the only case in
   /// which the repair deviates from the homogeneous path).
   bool granular_ = false;

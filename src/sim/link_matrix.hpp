@@ -11,10 +11,10 @@
 //                       as the oracle for the packed fast path;
 //  * PackedLinkMatrix - the timely/not-timely bit plane as uint64 row
 //                       words (bit src of row dst == A_{dst,src}) next to
-//                       a lazily allocated delay plane that only holds the
-//                       cells whose bit is 0. Predicates become popcounts
-//                       and word compares, and the common all-timely case
-//                       never touches the int16 plane at all.
+//                       a lazily allocated delay plane that is read only
+//                       for cells whose bit is 0. Predicates become
+//                       popcounts and word compares, and readers of an
+//                       all-timely round never touch the int16 plane.
 #pragma once
 
 #include <algorithm>
@@ -95,9 +95,9 @@ class LinkMatrix {
 /// Bit-plane representation of the same matrix. Row `dst` is
 /// `words_per_row()` uint64 words; bit `src % 64` of word `src / 64` is 1
 /// iff the link (dst <- src) is timely this round. Unused tail bits of the
-/// last word are always 0 (popcount invariant). The delay plane stores the
-/// fate of not-timely cells only and is allocated on first use, so
-/// all-timely rounds stay within the bit plane.
+/// last word are always 0 (popcount invariant). The delay plane holds the
+/// fate of every not-timely cell (a set bit wins over whatever its cell
+/// holds) and is allocated on first use.
 class PackedLinkMatrix {
  public:
   static constexpr int kWordBits = 64;
@@ -166,10 +166,17 @@ class PackedLinkMatrix {
   /// Record the fate of a cell whose bit is already 0 (for samplers using
   /// mutable_row_words). Allocates the delay plane on first use.
   void store_untimely(ProcessId dst, ProcessId src, Delay d) {
+    mutable_delays()[static_cast<std::size_t>(dst) * n_ + src] = d;
+  }
+
+  /// The whole delay plane (n * n, row-major by dst), for samplers that
+  /// write every cell's fate and then set the bits of the timely ones (a
+  /// set bit wins over its cell here). Allocates the plane on first use.
+  Delay* mutable_delays() {
     if (delays_.empty()) {
       delays_.assign(static_cast<std::size_t>(n_) * n_, kLost);
     }
-    delays_[static_cast<std::size_t>(dst) * n_ + src] = d;
+    return delays_.data();
   }
 
   void fill(Delay d) {

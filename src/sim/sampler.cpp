@@ -12,6 +12,10 @@ namespace {
 
 /// Share of the IID sampler's untimely messages that are lost outright.
 constexpr double kLossShare = 0.25;
+/// Probability that a late IID message stays one more round late ...
+constexpr double kLateP = 0.4;
+/// ... up to this many rounds.
+constexpr int kMaxLate = 16;
 
 /// Fate of one message with latency `ms` in rounds of `timeout_ms`.
 Delay classify_latency(double ms, double timeout_ms) noexcept {
@@ -244,6 +248,94 @@ void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval) {
   eval.timely += timely;
 }
 
+FateWalk::FateWalk(double p, double loss, double late, int cap)
+    : timely_(Rng::bernoulli_threshold(p)),
+      lost_(Rng::bernoulli_threshold(loss)),
+      later_(Rng::bernoulli_threshold(late)),
+      steps_(table(cap)) {}
+
+const FateWalk::Step* FateWalk::table(int cap) {
+  // One table per cap, built at compile time.
+  static constexpr auto kTables = [] {
+    std::array<std::array<Step, 8 * (kMaxCap + 2)>, kMaxCap> tables{};
+    const auto go = [](int state) {
+      return Step{static_cast<std::uint8_t>(8 * state), 0, 0};
+    };
+    const auto complete = [](Delay fate) { return Step{0, 1, fate}; };
+    for (int cap = 1; cap <= kMaxCap; ++cap) {
+      for (int state = 0; state < cap + 2; ++state) {
+        // State 0 draws against timely_, 1 against lost_, the rest later_.
+        const int which = state < 2 ? state : 2;
+        const int d = state - 1;  // rounds late so far, in a late state
+        for (unsigned below = 0; below < 8; ++below) {
+          const bool hit = ((below >> which) & 1u) != 0;
+          Step& step = tables[static_cast<std::size_t>(cap - 1)]
+                             [static_cast<std::size_t>(8 * state) + below];
+          if (state == 0) {
+            step = hit ? complete(0) : go(1);
+          } else if (state == 1) {
+            step = hit ? complete(kLost) : go(2);
+          } else {
+            step = hit && d < cap ? go(state + 1)
+                                  : complete(static_cast<Delay>(d));
+          }
+        }
+      }
+    }
+    return tables;
+  }();
+  TM_CHECK(cap >= 1 && cap <= kMaxCap, "late cap out of range");
+  return kTables[static_cast<std::size_t>(cap - 1)].data();
+}
+
+void FateWalk::fill(Rng& rng, PackedLinkMatrix& out) const {
+  const int n = out.n();
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  const std::size_t stride = static_cast<std::size_t>(n) + 1;
+  Delay* fate = out.mutable_delays();
+  const std::uint64_t timely = timely_;
+  const std::uint64_t lost = lost_;
+  const std::uint64_t later = later_;
+  // Cell c = dst * n + src, walked in order; the diagonal cells, every
+  // (n + 1)-th from 0, take no draw and are stepped over.
+  std::size_t c = 1;
+  std::size_t diag = stride;
+  std::size_t state = 0;
+  // A local copy keeps the generator's state in registers.
+  Rng local = rng;
+  while (c < cells) {
+    // Which thresholds the draw is below: the table reads the one the
+    // current state draws against.
+    const std::uint64_t x = local.next() >> 11;
+    const unsigned below = static_cast<unsigned>(x < timely) |
+                           static_cast<unsigned>(x < lost) << 1 |
+                           static_cast<unsigned>(x < later) << 2;
+    const Step s = steps_[state + below];
+    fate[c] = s.fate;  // the completing step writes last
+    c += s.done;
+    const bool on_diag = c == diag;
+    c += on_diag;
+    diag += on_diag ? stride : 0;
+    state = s.next;
+  }
+  rng = local;
+  const int words = out.words_per_row();
+  for (ProcessId dst = 0; dst < n; ++dst) {
+    std::uint64_t* row = out.mutable_row_words(dst);
+    const Delay* f = fate + static_cast<std::size_t>(dst) * n;
+    for (int w = 0; w < words; ++w) {
+      const int first = w * PackedLinkMatrix::kWordBits;
+      const int end = std::min(n, first + PackedLinkMatrix::kWordBits);
+      std::uint64_t bits = 0;
+      for (int src = first; src < end; ++src) {
+        bits |= std::uint64_t{f[src] == 0} << (src - first);
+      }
+      row[w] = bits;
+    }
+    out.set_timely(dst, dst);
+  }
+}
+
 void draw_latency_round(LatencyModel& model, Round k,
                         std::vector<double>& latency) {
   const int n = model.n();
@@ -298,8 +390,9 @@ LatencyTimelinessSampler::LatencyTimelinessSampler(LatencyModel& model,
 void LatencyTimelinessSampler::sample_round(Round k, LinkMatrix& out) {
   // The scalar reference: draws and classifies cell by cell, without the
   // latency plane, so tests can hold the packed paths to it.
-  model_.begin_round(k);
   const int n = model_.n();
+  TM_CHECK(out.n() == n, "matrix size must match the sampler's n");
+  model_.begin_round(k);
   for (ProcessId dst = 0; dst < n; ++dst) {
     for (ProcessId src = 0; src < n; ++src) {
       if (src == dst) {
@@ -319,7 +412,7 @@ void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
 
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
                                            std::uint64_t seed)
-    : n_(n), p_(p), rng_(seed) {
+    : n_(n), p_(p), rng_(seed), fates_(p, kLossShare, kLateP, kMaxLate) {
   TM_CHECK(n > 1, "IID sampler needs n > 1");
   TM_CHECK(p >= 0.0 && p <= 1.0, "p must be a probability");
 }
@@ -327,11 +420,12 @@ IidTimelinessSampler::IidTimelinessSampler(int n, double p,
 Delay IidTimelinessSampler::untimely_fate() {
   if (rng_.bernoulli(kLossShare)) return kLost;
   Delay d = 1;
-  while (rng_.bernoulli(0.4) && d < 16) ++d;
+  while (rng_.bernoulli(kLateP) && d < kMaxLate) ++d;
   return d;
 }
 
 void IidTimelinessSampler::sample_round(Round, LinkMatrix& out) {
+  TM_CHECK(out.n() == n_, "matrix size must match the sampler's n");
   for (ProcessId dst = 0; dst < n_; ++dst) {
     for (ProcessId src = 0; src < n_; ++src) {
       if (src == dst) {
@@ -344,17 +438,8 @@ void IidTimelinessSampler::sample_round(Round, LinkMatrix& out) {
 }
 
 void IidTimelinessSampler::sample_round(Round, PackedLinkMatrix& out) {
-  for (ProcessId dst = 0; dst < n_; ++dst) {
-    std::uint64_t* row = out.mutable_row_words(dst);
-    for (int w = 0; w < out.words_per_row(); ++w) row[w] = 0;
-    for (ProcessId src = 0; src < n_; ++src) {
-      if (src == dst || rng_.bernoulli(p_)) {
-        out.set_timely(dst, src);
-      } else {
-        out.store_untimely(dst, src, untimely_fate());
-      }
-    }
-  }
+  TM_CHECK(out.n() == n_, "matrix size must match the sampler's n");
+  fates_.fill(rng_, out);
 }
 
 }  // namespace timing

@@ -10,12 +10,15 @@
 //    definitions to construct conforming/adversarial rounds).
 //
 // Every sampler also fills the packed bit-plane representation
-// (PackedLinkMatrix), without touching the int16 delay plane unless a
-// late/lost fate is actually drawn. The packed path consumes the RNG in
-// exactly the per-cell order of the scalar sample_round, so for the same
-// sub-stream it reproduces the exact same matrices (asserted by
-// tests/predicate_kernel_test.cpp). sample_round_and_evaluate is that
-// packed sample followed by the predicate kernel of sim/packed_eval.hpp.
+// (PackedLinkMatrix). The packed path consumes the RNG in exactly the
+// per-cell order of the scalar sample_round, so for the same sub-stream
+// it reproduces the exact same matrices (asserted by
+// tests/predicate_kernel_test.cpp). The IID and schedule samplers draw it
+// with one FateWalk (below): each cell's fate goes into the delay plane
+// with no branch on the draws, then the timely cells get their bits; the
+// latency sampler writes the delay plane only for a late or lost cell.
+// sample_round_and_evaluate is that packed sample followed by the
+// predicate kernel of sim/packed_eval.hpp.
 //
 // The latency sampler is two steps: draw_latency_round fills a round's
 // latency plane, then classify_round turns it into fates for one timeout.
@@ -59,7 +62,7 @@ class TimelinessSampler {
   virtual void sample_round(Round k, LinkMatrix& out) = 0;
 
   /// Packed-plane variant: fills the bit plane of `out` (n x n) directly
-  /// and stores a fate in the delay plane only for a late or lost cell.
+  /// and the delay plane wherever a bit is 0 (late or lost cells).
   /// It consumes the RNG exactly as the scalar overload does, so both give
   /// the same fates; the scalar one is the reference tests compare with.
   virtual void sample_round(Round k, PackedLinkMatrix& out) = 0;
@@ -88,6 +91,49 @@ inline constexpr int kMaxDelayRounds = 64;
 inline bool lost_in_flight(double ms, double timeout_ms) noexcept {
   return std::floor(ms / timeout_ms) > kMaxDelayRounds;
 }
+
+/// The direct fate draw of the IID and schedule samplers, per message:
+/// timely with probability p; else lost with probability `loss`; else
+/// late by d rounds, where d starts at 1 and grows by one for each
+/// further draw below `late` while d < cap (the draw at d = cap is still
+/// taken). fill() is the packed path: a walk with one RNG draw per step
+/// and no branch on the draws. Each draw is compared with all three
+/// Rng::bernoulli_threshold values, and a table indexed by the walk's
+/// state and those three bits gives the next state and, when the draw
+/// completes a cell, its fate. The walk consumes the stream exactly as
+/// the scalar per-cell loop
+///   bernoulli(p) ? 0 : bernoulli(loss) ? kLost : <late draws>
+/// does in (dst, src) order, so both give the same fates and leave the
+/// generator in the same state.
+class FateWalk {
+ public:
+  static constexpr int kMaxCap = 16;
+
+  FateWalk(double p, double loss, double late, int cap);
+
+  /// Draws every off-diagonal cell of `out` from `rng`: writes each
+  /// cell's fate into the delay plane, then sets the bits of the timely
+  /// cells and of the diagonal. Allocates nothing once the plane exists.
+  void fill(Rng& rng, PackedLinkMatrix& out) const;
+
+ private:
+  /// The outcome of one draw in one state.
+  struct Step {
+    std::uint8_t next;  ///< 8 * the next state
+    std::uint8_t done;  ///< 1 iff this draw completes the cell
+    Delay fate;         ///< the completed cell's fate
+  };
+  /// The transition table of a cap. States: 0 timely?, 1 lost?, 1 + d
+  /// late by d (1 <= d <= cap). Entry 8 * state + below, where bit 0 of
+  /// `below` says the draw is below timely_, bit 1 below lost_ and bit 2
+  /// below later_.
+  static const Step* table(int cap);
+
+  std::uint64_t timely_;  ///< thresholds of p, loss and late
+  std::uint64_t lost_;
+  std::uint64_t later_;
+  const Step* steps_;
+};
 
 /// Begins round k of `model` and draws its n(n-1) message latencies into
 /// `latency` (resized to n x n, row dst, column src) in (dst, src) order,
@@ -201,13 +247,13 @@ class IidTimelinessSampler final : public TimelinessSampler {
   void sample_round(Round k, PackedLinkMatrix& out) override;
 
  private:
-  /// Late-or-lost fate draw shared by both entry points (keeps the RNG
-  /// consumption identical across them).
+  /// The scalar overload's late-or-lost fate draw.
   Delay untimely_fate();
 
   int n_;
   double p_;
   Rng rng_;
+  FateWalk fates_;  ///< the packed overload's draw
 };
 
 }  // namespace timing

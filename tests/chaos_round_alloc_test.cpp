@@ -2,9 +2,9 @@
 // chaos gates and of the adversary hunt: a FaultInjectedSampler over a
 // ScheduleSampler samples each round into one reused PackedLinkMatrix,
 // and a RoundEngine steps the protocols over it. Once warm, that loop
-// must not touch the heap: the schedule is drawn straight into the bit
-// plane, the repair keeps its process lists as member scratch, and a
-// send's destination set is a value. A whole chaos execution (set-up,
+// must not touch the heap: the schedule's fates are drawn into the
+// matrix's own planes, the repair keeps its process lists as member
+// scratch, and a send's destination set is a value. A whole chaos execution (set-up,
 // rounds, and the trace checks over the recorded events) allocates
 // only per execution, never per round or per message. This binary
 // replaces the global operator new with a counting one, so it holds
@@ -152,7 +152,13 @@ TEST(ChaosRoundAllocations, WarmExecutionsAllocateOnlyPerExecution) {
 #if defined(TIMING_SANITIZED_ALLOCATOR)
   GTEST_SKIP() << "the sanitizer's allocator replaces the counting one";
 #else
-  for (const AlgorithmKind kind : {AlgorithmKind::kWlm, AlgorithmKind::kPaxos}) {
+  // lm_over_wlm is left out: each odd round copies every received
+  // message into a relay whose vectors grow from empty (CHANGES.md's
+  // FOUND line on LmOverWlmSimulation::compute; about 230 allocations
+  // per execution).
+  for (const AlgorithmKind kind :
+       {AlgorithmKind::kWlm, AlgorithmKind::kEs3, AlgorithmKind::kLm3,
+        AlgorithmKind::kAfm5, AlgorithmKind::kPaxos}) {
     // An execution runs about 15 rounds. Its set-up (protocols, engine,
     // sampler, injector) and its summary allocate a few dozen times; a
     // per-round or per-message allocation anywhere on the path adds

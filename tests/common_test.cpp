@@ -84,6 +84,70 @@ TEST(Rng, BernoulliMean) {
   EXPECT_NEAR(static_cast<double>(hits) / trials, 0.3, 0.01);
 }
 
+// bernoulli(p) compares uniform(), the 53-bit value x of a draw times
+// 2^-53, with p; the samplers' fate walk compares x itself with
+// bernoulli_threshold(p). The two agree for x at, just below and just
+// above the threshold, for p on the 2^-53 grid and between its points,
+// and for p <= 0, p >= 1 and NaN.
+TEST(Rng, BernoulliThresholdMatchesBernoulli) {
+  constexpr std::uint64_t kOne = 1ULL << 53;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Rng::bernoulli_threshold(nan), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(-kInf), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(-0.5), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(-0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(DBL_TRUE_MIN), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1.0p-54), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1.0p-53), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1.8p-53), 2u);
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(0.5, 0.0)), kOne / 2);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.5), kOne / 2);
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(0.5, 1.0)),
+            kOne / 2 + 1);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0 - 0x1.0p-53), kOne - 1);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), kOne);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.5), kOne);
+  EXPECT_EQ(Rng::bernoulli_threshold(kInf), kOne);
+
+  // bernoulli's comparison, for x around the threshold of each p.
+  const double ps[] = {nan,  -kInf, -0.5, -0.0, 0.0, DBL_TRUE_MIN,
+                       0x1.0p-54, 0x1.0p-53, 0x1.8p-53, 0.1, 0.25, 0.3,
+                       std::nextafter(0.4, 0.0), 0.4,
+                       std::nextafter(0.4, 1.0), 1.0 - 0x1.0p-53, 1.0,
+                       1.5, kInf};
+  for (const double p : ps) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (const std::uint64_t x : {t - 1, t, t + 1}) {
+      if (x >= kOne) continue;  // also skips t - 1 for t = 0
+      EXPECT_EQ(static_cast<double>(x) * 0x1.0p-53 < p, x < t)
+          << "p=" << p << " x=" << x;
+    }
+  }
+
+  // Rng::bernoulli itself: a copy of the generator reads the x the next
+  // trial draws, and p is placed so that x lies at, just below or just
+  // above its threshold.
+  Rng rng(0xb1a5ULL);
+  for (int i = 0; i < 4000; ++i) {
+    Rng probe = rng;
+    const std::uint64_t x = probe.next() >> 11;
+    const double at = static_cast<double>(x) * 0x1.0p-53;
+    const double below = static_cast<double>(x - (x > 0)) * 0x1.0p-53;
+    const double above = static_cast<double>(x + 1) * 0x1.0p-53;
+    EXPECT_EQ(Rng::bernoulli_threshold(at), x);
+    EXPECT_EQ(Rng::bernoulli_threshold(above), x + 1);
+    for (const double p : {below, std::nextafter(at, 0.0), at,
+                           std::nextafter(at, 1.0), above}) {
+      Rng trial = rng;
+      EXPECT_EQ(trial.bernoulli(p), x < Rng::bernoulli_threshold(p))
+          << "p=" << p << " x=" << x;
+    }
+    rng.next();
+  }
+}
+
 TEST(Rng, NormalMoments) {
   Rng r(13);
   RunningStats s;

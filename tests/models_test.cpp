@@ -264,5 +264,15 @@ TEST(Schedule, PreGsrIsChaotic) {
   EXPECT_NEAR(static_cast<double>(timely) / total, 0.3, 0.02);
 }
 
+TEST(ScheduleDeathTest, ScalarRejectsAMatrixOfAnotherSize) {
+  ScheduleConfig cfg;
+  cfg.n = 5;
+  ScheduleSampler s(cfg);
+  LinkMatrix small(3);
+  LinkMatrix large(6);
+  EXPECT_DEATH(s.sample_round(1, small), "matrix size must match");
+  EXPECT_DEATH(s.sample_round(1, large), "matrix size must match");
+}
+
 }  // namespace
 }  // namespace timing

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -174,6 +175,28 @@ TEST(FusedKernel, IidPackedSampleMatchesScalarSubstream) {
       scalar.sample_round(k, a);
       packed.sample_round(k, q);
       ASSERT_TRUE(same_fates(a, q));
+    }
+  }
+}
+
+// The same at the edges of each cell's timeliness draw, a uniform compared
+// with p: never, the smallest step above 0, the loss share and the
+// lateness probability, one step below 1, and always.
+TEST(FusedKernel, IidPackedSampleMatchesScalarAtEdgeProbabilities) {
+  const double probabilities[] = {0.0, 0x1.0p-53, 0.25, 0.4, 0.9,
+                                  1.0 - 0x1.0p-53, 1.0};
+  for (const int n : {2, 5, 64, 65}) {
+    LinkMatrix a(n);
+    PackedLinkMatrix q(n);
+    for (const double p : probabilities) {
+      IidTimelinessSampler scalar(n, p, 0x11d0ULL + static_cast<unsigned>(n));
+      IidTimelinessSampler packed(n, p, 0x11d0ULL + static_cast<unsigned>(n));
+      for (Round k = 1; k <= 12; ++k) {
+        scalar.sample_round(k, a);
+        packed.sample_round(k, q);
+        ASSERT_TRUE(same_fates(a, q))
+            << "n=" << n << " p=" << p << " round " << k;
+      }
     }
   }
 }
@@ -345,6 +368,51 @@ TEST(FusedKernel, ScheduleSamplerPackedMatchesScalar) {
                   << " minimal=" << minimal << " crashes=" << crashes
                   << " links=" << links.n() << " round " << k;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same at the edges of the pre-GSR timeliness draw, a uniform compared
+// with pre_gsr_p: never, the smallest step above 0, either side of the
+// untimely draws' own 0.4, one step below 1, and always. The post-GSR
+// rounds that follow draw at their own probability, so a packed path
+// that took a different number of draws before GSR shows there too.
+TEST(FusedKernel, ScheduleSamplerPackedMatchesScalarAtEdgeProbabilities) {
+  constexpr Round kGsr = 20;
+  constexpr Round kRounds = 40;
+  const double probabilities[] = {0.0,
+                                  0x1.0p-53,
+                                  std::nextafter(0.4, 0.0),
+                                  0.4,
+                                  std::nextafter(0.4, 1.0),
+                                  1.0 - 0x1.0p-53,
+                                  1.0};
+  for (const int n : {2, 5, 64, 65}) {
+    PackedLinkMatrix q(n);
+    LinkMatrix a(n);
+    for (const double p : probabilities) {
+      for (const TimingModel model : {TimingModel::kEs, TimingModel::kWlm}) {
+        for (const bool minimal : {false, true}) {
+          ScheduleConfig cfg;
+          cfg.n = n;
+          cfg.model = model;
+          cfg.leader = n - 1;
+          cfg.gsr = kGsr;
+          cfg.pre_gsr_p = p;
+          cfg.minimal = minimal;
+          cfg.seed = 0xed9eULL + static_cast<unsigned>(n);
+          ScheduleSampler scalar(cfg);
+          ScheduleSampler packed(cfg);
+          for (Round k = 1; k <= kRounds; ++k) {
+            scalar.sample_round(k, a);
+            packed.sample_round(k, q);
+            ASSERT_TRUE(same_fates(a, q))
+                << "n=" << n << " pre_gsr_p=" << p
+                << " model=" << to_string(model) << " minimal=" << minimal
+                << " round " << k;
           }
         }
       }

@@ -76,6 +76,33 @@ TEST(IidSampler, ExtremeP) {
   }
 }
 
+// A sampler fills exactly its own n x n: a smaller matrix would be
+// written past its end and a larger one only in part, so both abort.
+TEST(SamplerDeathTest, IidScalarRejectsAMatrixOfAnotherSize) {
+  IidTimelinessSampler s(8, 0.5, 1);
+  LinkMatrix small(3);
+  LinkMatrix large(9);
+  EXPECT_DEATH(s.sample_round(1, small), "matrix size must match");
+  EXPECT_DEATH(s.sample_round(1, large), "matrix size must match");
+}
+
+TEST(SamplerDeathTest, IidPackedRejectsAMatrixOfAnotherSize) {
+  IidTimelinessSampler s(8, 0.5, 1);
+  PackedLinkMatrix small(3);
+  PackedLinkMatrix large(9);
+  EXPECT_DEATH(s.sample_round(1, small), "matrix size must match");
+  EXPECT_DEATH(s.sample_round(1, large), "matrix size must match");
+}
+
+TEST(SamplerDeathTest, LatencyScalarRejectsAMatrixOfAnotherSize) {
+  WanLatencyModel model(WanProfile{}, 1);  // 8 sites
+  LatencyTimelinessSampler s(model, 170.0);
+  LinkMatrix small(3);
+  LinkMatrix large(9);
+  EXPECT_DEATH(s.sample_round(1, small), "matrix size must match");
+  EXPECT_DEATH(s.sample_round(1, large), "matrix size must match");
+}
+
 TEST(IidLatencyModel, RespectsImpliedTimeout) {
   IidLatencyModel m(8, 0.8, 5, 0.25, 1.0);
   m.begin_round(1);
