@@ -16,10 +16,9 @@ namespace {
 constexpr double kPostGsrExtraP = 0.5;
 /// Share of untimely messages that are lost rather than late.
 constexpr double kUntimelyLossShare = 0.4;
-/// Probability that a late message stays one more round late ...
+/// Probability that a late message stays one more round late (up to
+/// ScheduleSampler::kMaxLate rounds).
 constexpr double kLateP = 0.4;
-/// ... up to this many rounds.
-constexpr int kMaxLate = 8;
 
 /// Timeliness of the links drawn from GSR on, before the repair.
 double post_gsr_p(const ScheduleConfig& cfg) {
@@ -31,9 +30,8 @@ double post_gsr_p(const ScheduleConfig& cfg) {
 ScheduleSampler::ScheduleSampler(const ScheduleConfig& cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
-      pre_gsr_fates_(cfg.pre_gsr_p, kUntimelyLossShare, kLateP, kMaxLate),
-      post_gsr_fates_(post_gsr_p(cfg), kUntimelyLossShare, kLateP,
-                      kMaxLate) {
+      pre_gsr_fates_(cfg.pre_gsr_p, kUntimelyLossShare, kLateP),
+      post_gsr_fates_(post_gsr_p(cfg), kUntimelyLossShare, kLateP) {
   TM_CHECK(cfg_.n > 1, "schedule needs n > 1");
   TM_CHECK(cfg_.leader >= 0 && cfg_.leader < cfg_.n, "leader out of range");
   TM_CHECK(cfg_.gsr >= 1, "GSR is a round number >= 1");

@@ -76,14 +76,17 @@ class ScheduleSampler final : public TimelinessSampler {
   template <class Matrix>
   void repair_to_model(Matrix& out, Round k);
   bool alive(ProcessId i, Round k) const noexcept;
+  /// A late message is late by at most this many rounds.
+  static constexpr int kMaxLate = 8;
+
   /// The scalar fill's late-or-lost fate draw.
   Delay untimely_fate();
 
   ScheduleConfig cfg_;
   Rng rng_;
   /// The packed fill's draws before and from GSR on.
-  FateWalk pre_gsr_fates_;
-  FateWalk post_gsr_fates_;
+  FateWalk<kMaxLate> pre_gsr_fates_;
+  FateWalk<kMaxLate> post_gsr_fates_;
   /// True iff link_models names a non-all-sync matrix (the only case in
   /// which the repair deviates from the homogeneous path).
   bool granular_ = false;

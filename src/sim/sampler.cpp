@@ -12,10 +12,9 @@ namespace {
 
 /// Share of the IID sampler's untimely messages that are lost outright.
 constexpr double kLossShare = 0.25;
-/// Probability that a late IID message stays one more round late ...
+/// Probability that a late IID message stays one more round late (up to
+/// IidTimelinessSampler::kMaxLate rounds).
 constexpr double kLateP = 0.4;
-/// ... up to this many rounds.
-constexpr int kMaxLate = 16;
 
 /// Fate of one message with latency `ms` in rounds of `timeout_ms`.
 Delay classify_latency(double ms, double timeout_ms) noexcept {
@@ -248,47 +247,42 @@ void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval) {
   eval.timely += timely;
 }
 
-FateWalk::FateWalk(double p, double loss, double late, int cap)
+template <int kCap>
+FateWalk<kCap>::FateWalk(double p, double loss, double late)
     : timely_(Rng::bernoulli_threshold(p)),
       lost_(Rng::bernoulli_threshold(loss)),
-      later_(Rng::bernoulli_threshold(late)),
-      steps_(table(cap)) {}
+      later_(Rng::bernoulli_threshold(late)) {}
 
-const FateWalk::Step* FateWalk::table(int cap) {
-  // One table per cap, built at compile time.
-  static constexpr auto kTables = [] {
-    std::array<std::array<Step, 8 * (kMaxCap + 2)>, kMaxCap> tables{};
-    const auto go = [](int state) {
-      return Step{static_cast<std::uint8_t>(8 * state), 0, 0};
-    };
-    const auto complete = [](Delay fate) { return Step{0, 1, fate}; };
-    for (int cap = 1; cap <= kMaxCap; ++cap) {
-      for (int state = 0; state < cap + 2; ++state) {
+template <int kCap>
+constinit const std::array<typename FateWalk<kCap>::Step, 8 * (kCap + 2)>
+    FateWalk<kCap>::kSteps = [] {
+      std::array<Step, 8 * (kCap + 2)> steps{};
+      const auto go = [](int state) {
+        return Step{static_cast<std::uint8_t>(8 * state), 0, 0};
+      };
+      const auto complete = [](Delay fate) { return Step{0, 1, fate}; };
+      for (int state = 0; state < kCap + 2; ++state) {
         // State 0 draws against timely_, 1 against lost_, the rest later_.
         const int which = state < 2 ? state : 2;
         const int d = state - 1;  // rounds late so far, in a late state
         for (unsigned below = 0; below < 8; ++below) {
           const bool hit = ((below >> which) & 1u) != 0;
-          Step& step = tables[static_cast<std::size_t>(cap - 1)]
-                             [static_cast<std::size_t>(8 * state) + below];
+          Step& step = steps[static_cast<std::size_t>(8 * state) + below];
           if (state == 0) {
             step = hit ? complete(0) : go(1);
           } else if (state == 1) {
             step = hit ? complete(kLost) : go(2);
           } else {
-            step = hit && d < cap ? go(state + 1)
-                                  : complete(static_cast<Delay>(d));
+            step = hit && d < kCap ? go(state + 1)
+                                   : complete(static_cast<Delay>(d));
           }
         }
       }
-    }
-    return tables;
-  }();
-  TM_CHECK(cap >= 1 && cap <= kMaxCap, "late cap out of range");
-  return kTables[static_cast<std::size_t>(cap - 1)].data();
-}
+      return steps;
+    }();
 
-void FateWalk::fill(Rng& rng, PackedLinkMatrix& out) const {
+template <int kCap>
+void FateWalk<kCap>::fill(Rng& rng, PackedLinkMatrix& out) const {
   const int n = out.n();
   const std::size_t cells = static_cast<std::size_t>(n) * n;
   const std::size_t stride = static_cast<std::size_t>(n) + 1;
@@ -310,7 +304,7 @@ void FateWalk::fill(Rng& rng, PackedLinkMatrix& out) const {
     const unsigned below = static_cast<unsigned>(x < timely) |
                            static_cast<unsigned>(x < lost) << 1 |
                            static_cast<unsigned>(x < later) << 2;
-    const Step s = steps_[state + below];
+    const Step s = kSteps[state + below];
     fate[c] = s.fate;  // the completing step writes last
     c += s.done;
     const bool on_diag = c == diag;
@@ -335,6 +329,9 @@ void FateWalk::fill(Rng& rng, PackedLinkMatrix& out) const {
     out.set_timely(dst, dst);
   }
 }
+
+template class FateWalk<8>;   // ScheduleSampler's (models/schedule.hpp)
+template class FateWalk<16>;  // IidTimelinessSampler's
 
 void draw_latency_round(LatencyModel& model, Round k,
                         std::vector<double>& latency) {
@@ -412,7 +409,7 @@ void LatencyTimelinessSampler::sample_round(Round k, PackedLinkMatrix& out) {
 
 IidTimelinessSampler::IidTimelinessSampler(int n, double p,
                                            std::uint64_t seed)
-    : n_(n), p_(p), rng_(seed), fates_(p, kLossShare, kLateP, kMaxLate) {
+    : n_(n), p_(p), rng_(seed), fates_(p, kLossShare, kLateP) {
   TM_CHECK(n > 1, "IID sampler needs n > 1");
   TM_CHECK(p >= 0.0 && p <= 1.0, "p must be a probability");
 }

@@ -95,21 +95,21 @@ inline bool lost_in_flight(double ms, double timeout_ms) noexcept {
 /// The direct fate draw of the IID and schedule samplers, per message:
 /// timely with probability p; else lost with probability `loss`; else
 /// late by d rounds, where d starts at 1 and grows by one for each
-/// further draw below `late` while d < cap (the draw at d = cap is still
-/// taken). fill() is the packed path: a walk with one RNG draw per step
-/// and no branch on the draws. Each draw is compared with all three
+/// further draw below `late` while d < kCap (the draw at d = kCap is
+/// still taken). fill() is the packed path: a walk with one RNG draw per
+/// step and no branch on the draws. Each draw is compared with all three
 /// Rng::bernoulli_threshold values, and a table indexed by the walk's
 /// state and those three bits gives the next state and, when the draw
 /// completes a cell, its fate. The walk consumes the stream exactly as
 /// the scalar per-cell loop
 ///   bernoulli(p) ? 0 : bernoulli(loss) ? kLost : <late draws>
 /// does in (dst, src) order, so both give the same fates and leave the
-/// generator in the same state.
+/// generator in the same state. Instantiated for the two caps in use:
+/// ScheduleSampler's 8 and IidTimelinessSampler's 16.
+template <int kCap>
 class FateWalk {
  public:
-  static constexpr int kMaxCap = 16;
-
-  FateWalk(double p, double loss, double late, int cap);
+  FateWalk(double p, double loss, double late);
 
   /// Draws every off-diagonal cell of `out` from `rng`: writes each
   /// cell's fate into the delay plane, then sets the bits of the timely
@@ -123,17 +123,19 @@ class FateWalk {
     std::uint8_t done;  ///< 1 iff this draw completes the cell
     Delay fate;         ///< the completed cell's fate
   };
-  /// The transition table of a cap. States: 0 timely?, 1 lost?, 1 + d
-  /// late by d (1 <= d <= cap). Entry 8 * state + below, where bit 0 of
-  /// `below` says the draw is below timely_, bit 1 below lost_ and bit 2
-  /// below later_.
-  static const Step* table(int cap);
+  /// The transition table, built at compile time. States: 0 timely?,
+  /// 1 lost?, 1 + d late by d (1 <= d <= kCap). Entry 8 * state + below,
+  /// where bit 0 of `below` says the draw is below timely_, bit 1 below
+  /// lost_ and bit 2 below later_.
+  static const std::array<Step, 8 * (kCap + 2)> kSteps;
 
   std::uint64_t timely_;  ///< thresholds of p, loss and late
   std::uint64_t lost_;
   std::uint64_t later_;
-  const Step* steps_;
 };
+
+extern template class FateWalk<8>;
+extern template class FateWalk<16>;
 
 /// Begins round k of `model` and draws its n(n-1) message latencies into
 /// `latency` (resized to n x n, row dst, column src) in (dst, src) order,
@@ -247,13 +249,16 @@ class IidTimelinessSampler final : public TimelinessSampler {
   void sample_round(Round k, PackedLinkMatrix& out) override;
 
  private:
+  /// A late message is late by at most this many rounds.
+  static constexpr int kMaxLate = 16;
+
   /// The scalar overload's late-or-lost fate draw.
   Delay untimely_fate();
 
   int n_;
   double p_;
   Rng rng_;
-  FateWalk fates_;  ///< the packed overload's draw
+  FateWalk<kMaxLate> fates_;  ///< the packed overload's draw
 };
 
 }  // namespace timing
