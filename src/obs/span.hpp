@@ -17,8 +17,8 @@
 //    and is byte-identical across TIMING_THREADS (pinned in
 //    tests/obs_test.cpp).
 //  * One-branch disabled path. Every emission site tests one pointer /
-//    mode byte; bench_span_overhead enforces <3% overhead when off and
-//    <10% in `timed` mode on the live ablation path.
+//    mode byte; on the live ablation path, bench_span_overhead enforces
+//    <3% overhead when off and bounds the `timed` cost per span event.
 #pragma once
 
 #include <cstdint>
