@@ -123,6 +123,7 @@ class FateWalk {
     std::uint8_t done;  ///< 1 iff this draw completes the cell
     Delay fate;         ///< the completed cell's fate
   };
+  static_assert(8 * (kCap + 1) <= 255, "Step::next must hold 8 * state");
   /// The transition table, built at compile time. States: 0 timely?,
   /// 1 lost?, 1 + d late by d (1 <= d <= kCap). Entry 8 * state + below,
   /// where bit 0 of `below` says the draw is below timely_, bit 1 below
