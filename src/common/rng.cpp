@@ -45,11 +45,10 @@ double Rng::normal() noexcept {
   double u1 = 0.0;
   while (u1 <= 1e-300) u1 = uniform();
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  spare_ = r * std::sin(theta);
+  const NormalPair z = box_muller(u1, u2);
+  spare_ = z.second;
   has_spare_ = true;
-  return r * std::cos(theta);
+  return z.first;
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -11,6 +11,21 @@
 
 namespace timing {
 
+/// Two independent standard normal deviates from one Box-Muller transform.
+struct NormalPair {
+  double first;   ///< r cos(theta)
+  double second;  ///< r sin(theta)
+};
+
+/// The Box-Muller transform of Rng::normal: r = sqrt(-2 ln u1) and
+/// theta = 2 pi u2, for u1 in (0, 1] and u2 in [0, 1). sin and cos of the
+/// one angle are computed together (one sincos call).
+inline NormalPair box_muller(double u1, double u2) noexcept {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * 3.14159265358979323846 * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
 /// splitmix64 — used to expand a user seed into xoshiro state.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
@@ -65,7 +80,9 @@ class Rng {
     return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
   }
 
-  /// Standard normal via Box-Muller (caches the spare deviate).
+  /// Standard normal via Box-Muller (caches the spare deviate): draws u1
+  /// until it is above 1e-300 (only 0 is not), then u2, and returns
+  /// box_muller(u1, u2).first, then .second on the next call.
   double normal() noexcept;
 
   /// Normal with given mean and standard deviation.

@@ -334,14 +334,15 @@ std::vector<GranularStreamedRun> measure_run_sweep(
   // reports no class conformance.
   const GranularPlanes& classes =
       g == nullptr ? all_sync_planes(n) : g->planes();
-  std::vector<double> latency;
+  const int m = static_cast<int>(sorted.size());
+  std::vector<LinkRank> links;
   RankScratch scratch;
   RankTallies tallies;
-  tallies.reset(static_cast<int>(sorted.size()));
+  tallies.reset(m);
   for (int r = 1; r <= rounds; ++r) {
-    draw_latency_round(model, r, latency);
+    model.draw_ranked_round(r, sorted, links);
     const RoundRanks ranks =
-        rank_round(latency, n, sorted, leader, classes, scratch, tallies);
+        rank_round(links, n, m, leader, classes, scratch, tallies);
     for (std::size_t t = 0; t < acc.size(); ++t) {
       acc[t].observe(ranks.sat_at(sorted_at[t]),
                      g == nullptr ? 0 : ranks.csat_at(sorted_at[t]));

@@ -157,10 +157,12 @@ GranularStreamedRun measure_run_streaming_granular(
     Rng& start_rng, const GranularContext& g);
 
 /// One run of `model` measured at every timeout of a sweep: each round's
-/// n(n-1) latencies are drawn once (draw_latency_round) and ranked once
-/// against the sorted distinct timeouts (rank_round). Each timeout's
-/// window trackers are fed "threshold <= its sorted index", and its fate
-/// tallies come from prefix sums of the run's rank histograms. Entry t is
+/// n(n-1) messages are drawn once and ranked against the sorted distinct
+/// timeouts (LatencyModel::draw_ranked_round, which for the WAN model
+/// evaluates only the few latencies its bound cannot rank), then the
+/// round is ranked once (rank_round). Each timeout's window trackers are
+/// fed "threshold <= its sorted index", and its fate tallies come from
+/// prefix sums of the run's rank histograms. Entry t is
 /// bit-identical to measure_run_streaming — or, with `g`,
 /// measure_run_streaming_granular — over a LatencyTimelinessSampler for
 /// timeouts_ms[t], given an identically seeded fresh model and

@@ -51,6 +51,9 @@ TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
   out.links.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                    LinkCounts{});
   out.first_window.fill(-1);
+  // A trial usually decides each process once, and crashes few if any:
+  // both lists take room for n events, crashes only once one happens.
+  out.decides.reserve(static_cast<std::size_t>(n));
 
   std::array<int, kTraceNumModels> streak{};
   // Leader agreement per round: each process's last output of the round
@@ -148,6 +151,9 @@ TrialSummary summarize_trial(std::span<const TraceEvent> events, int n,
             std::max(out.global_decision_round, e.round);
         break;
       case EventKind::kCrash:
+        if (out.crashes.empty()) {
+          out.crashes.reserve(static_cast<std::size_t>(n));
+        }
         out.crashes.push_back(e);
         break;
       case EventKind::kFaultInjected:

@@ -26,30 +26,6 @@ Delay classify_latency(double ms, double timeout_ms) noexcept {
   return static_cast<Delay>(std::floor(ms / timeout_ms));
 }
 
-/// Timely and lost ranks of a message that misses the first timeout t[0]
-/// (its latency is above t[0] or not finite).
-struct LinkRanks {
-  int timely = 0;
-  int lost = 0;
-};
-
-LinkRanks rank_latency(double ms, const double* t, int m) {
-  if (!std::isfinite(ms)) return {m, m};
-  // The count of timeouts below ms is the first index it is within.
-  // Branch-free; the NaN guard above keeps NaN from counting as timely.
-  LinkRanks r;
-  for (int i = 0; i < m; ++i) r.timely += t[i] < ms ? 1 : 0;
-  if (lost_in_flight(ms, t[0])) {
-    r.lost = static_cast<int>(
-        std::partition_point(t + 1, t + r.timely,
-                             [&](double timeout) {
-                               return lost_in_flight(ms, timeout);
-                             }) -
-        t);
-  }
-  return r;
-}
-
 /// The maj-th smallest rank of a line (a row or a column) with `count`
 /// required links, `nonzero` of them of rank > 0 gathered in line[0,
 /// nonzero). Reorders the line.
@@ -90,26 +66,24 @@ RoundRanks rank_round(std::span<const double> latency, int n,
                       std::span<const double> sorted_timeouts,
                       ProcessId leader, const GranularPlanes& classes,
                       RankScratch& s, RankTallies& tallies) {
-  TM_CHECK(n >= 1 && latency.size() == static_cast<std::size_t>(n) * n,
-           "latency plane size must be n x n");
+  rank_latencies(latency, n, sorted_timeouts, s.links, s.later);
+  return rank_round(s.links, n, static_cast<int>(sorted_timeouts.size()),
+                    leader, classes, s, tallies);
+}
+
+RoundRanks rank_round(std::span<const LinkRank> ranks, int n, int m,
+                      ProcessId leader, const GranularPlanes& classes,
+                      RankScratch& s, RankTallies& tallies) {
+  TM_CHECK(n >= 1 && ranks.size() == static_cast<std::size_t>(n) * n,
+           "rank plane size must be n x n");
   TM_CHECK(leader >= 0 && leader < n, "leader out of range");
   TM_CHECK(classes.n() == n, "link classes size must match the plane");
-  const int m = static_cast<int>(sorted_timeouts.size());
-  TM_CHECK(tallies.timely.size() == sorted_timeouts.size() + 1 &&
-               tallies.lost.size() == sorted_timeouts.size() + 1,
+  TM_CHECK(m >= 0 && tallies.timely.size() == static_cast<std::size_t>(m) + 1 &&
+               tallies.lost.size() == static_cast<std::size_t>(m) + 1,
            "rank tallies must be reset for the sweep");
-  if (m == 0) {
-    // No timeout to be timely at: nothing to rank.
-    const long long messages = static_cast<long long>(n) * (n - 1);
-    tallies.timely[0] += messages;
-    tallies.lost[0] += messages;
-    return RoundRanks{};
-  }
-  const double* t = sorted_timeouts.data();
   const int maj = majority_size(n);
   const auto cells = static_cast<std::size_t>(n) * n;
   const auto lines = static_cast<std::size_t>(n);
-  s.rank.resize(cells);
   s.later.resize(cells);
   s.line.resize(lines);
   // Per row and per column, over required links: the max rank and how
@@ -121,26 +95,22 @@ RoundRanks rank_round(std::span<const double> latency, int n,
 
   // A message within the first timeout has both ranks 0: timely at every
   // timeout, lost at none. That is the common case, so a branch-free
-  // pass lists the other messages and only those are ranked.
+  // pass lists the other messages and only those are tallied one by one.
   std::size_t later = 0;
   for (ProcessId dst = 0; dst < n; ++dst) {
     const std::size_t row = static_cast<std::size_t>(dst) * n;
     for (ProcessId src = 0; src < n; ++src) {
-      const double ms = latency[row + src];
-      s.rank[row + src] = 0;
       s.later[later] = {dst, src};
-      const bool within = std::isfinite(ms) & (ms <= t[0]);
-      later += (src != dst) & !within;
+      later += (src != dst) & (ranks[row + src].timely > 0);
     }
   }
   std::array<int, GranularPlanes::kNumClasses> cls{};  // max rank per class
   for (std::size_t j = 0; j < later; ++j) {
     const auto [dst, src] = s.later[j];
     const std::size_t cell = static_cast<std::size_t>(dst) * n + src;
-    const LinkRanks r = rank_latency(latency[cell], t, m);
+    const LinkRank r = ranks[cell];
     ++tallies.timely[static_cast<std::size_t>(r.timely)];
     ++tallies.lost[static_cast<std::size_t>(r.lost)];
-    s.rank[cell] = r.timely;
     const auto link_class =
         static_cast<std::size_t>(classes.class_of(dst, src));
     cls[link_class] = std::max(cls[link_class], r.timely);
@@ -165,7 +135,7 @@ RoundRanks rank_round(std::span<const double> latency, int n,
     for (ProcessId j = 0; j < n; ++j) {
       const ProcessId dst = is_row ? i : j;
       const ProcessId src = is_row ? j : i;
-      const int r = s.rank[static_cast<std::size_t>(dst) * n + src];
+      const int r = ranks[static_cast<std::size_t>(dst) * n + src].timely;
       if (r == 0 || !classes.require(dst, src)) continue;
       line[nonzero++] = r;
     }
@@ -332,19 +302,6 @@ void FateWalk<kCap>::fill(Rng& rng, PackedLinkMatrix& out) const {
 
 template class FateWalk<8>;   // ScheduleSampler's (models/schedule.hpp)
 template class FateWalk<16>;  // IidTimelinessSampler's
-
-void draw_latency_round(LatencyModel& model, Round k,
-                        std::vector<double>& latency) {
-  const int n = model.n();
-  latency.resize(static_cast<std::size_t>(n) * n);
-  model.begin_round(k);
-  double* cell = latency.data();
-  for (ProcessId dst = 0; dst < n; ++dst) {
-    for (ProcessId src = 0; src < n; ++src, ++cell) {
-      *cell = src == dst ? 0.0 : model.sample_ms(src, dst);
-    }
-  }
-}
 
 FusedRoundEval classify_round(std::span<const double> latency,
                               double timeout_ms, PackedLinkMatrix& out) {

@@ -22,17 +22,19 @@
 //
 // The latency sampler is two steps: draw_latency_round fills a round's
 // latency plane, then classify_round turns it into fates for one timeout.
-// A timeout sweep draws each round once and ranks it instead
-// (rank_round): every link gets the first sorted timeout at which it is
-// timely, and every model the first at which it holds. A longer timeout
-// only adds timely links, and every predicate only gains from a timely
-// link, so one pass answers every timeout of the sweep
-// (harness/measurement.hpp's measure_run_sweep). Both steps decide the
-// lost edge with the same expression (lost_in_flight).
+// A timeout sweep draws each round once and ranks it instead: the model's
+// draw_ranked_round gives every link the first sorted timeout at which it
+// is timely (and the first at which it is no longer lost), and rank_round
+// gives every model the first at which it holds. A longer timeout only
+// adds timely links, and every predicate only gains from a timely link,
+// so one pass answers every timeout of the sweep
+// (harness/measurement.hpp's measure_run_sweep). The WAN model ranks most
+// links from a bound on their Box-Muller deviate without evaluating the
+// latency (sim/latency_model.hpp). Both steps decide the lost edge with
+// the same expression (lost_in_flight).
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <span>
 #include <vector>
 
@@ -80,18 +82,6 @@ class TimelinessSampler {
 /// from popcounts, late/lost from the (rare) complement bits.
 void tally_fates(const PackedLinkMatrix& a, FusedRoundEval& eval);
 
-/// Rounds a straggler may stay in flight before it counts as lost (keeps
-/// engine queues bounded).
-inline constexpr int kMaxDelayRounds = 64;
-
-/// The lost edge: a message of finite latency `ms` that missed its round
-/// of `timeout_ms` lands floor(ms / timeout_ms) rounds late, and is lost
-/// past kMaxDelayRounds. For ms > 0 it holds for a prefix of any
-/// ascending timeout list.
-inline bool lost_in_flight(double ms, double timeout_ms) noexcept {
-  return std::floor(ms / timeout_ms) > kMaxDelayRounds;
-}
-
 /// The direct fate draw of the IID and schedule samplers, per message:
 /// timely with probability p; else lost with probability `loss`; else
 /// late by d rounds, where d starts at 1 and grows by one for each
@@ -137,13 +127,6 @@ class FateWalk {
 
 extern template class FateWalk<8>;
 extern template class FateWalk<16>;
-
-/// Begins round k of `model` and draws its n(n-1) message latencies into
-/// `latency` (resized to n x n, row dst, column src) in (dst, src) order,
-/// the order every latency sampler path consumes the model's RNG in. The
-/// diagonal is 0 and not drawn.
-void draw_latency_round(LatencyModel& model, Round k,
-                        std::vector<double>& latency);
 
 /// Classifies one drawn round against `timeout_ms`: a latency within the
 /// timeout is timely, +inf or more than kMaxDelayRounds rounds late is
@@ -196,10 +179,10 @@ struct RankTallies {
   std::vector<FusedRoundEval> fates() const;
 };
 
-/// Reusable scratch of rank_round: the round's rank plane, the links it
-/// ranks one by one, and per-line order-statistic buffers.
+/// Reusable scratch of rank_round: the latency overload's rank plane, the
+/// links a round ranks one by one, and per-line order-statistic buffers.
 struct RankScratch {
-  std::vector<int> rank;
+  std::vector<LinkRank> links;
   std::vector<std::array<ProcessId, 2>> later;
   std::vector<int> line;
   std::vector<int> row_max;
@@ -208,17 +191,21 @@ struct RankScratch {
   std::vector<int> col_nonzero;
 };
 
-/// Ranks one drawn round (n x n latency plane, as draw_latency_round
-/// fills it) against `sorted_timeouts` (ascending, distinct). A link's
-/// timely rank is the first index i with latency <= t_i, m for a
-/// non-finite latency; its lost rank is the first index at which it is no
-/// longer lost. Self links take rank 0. Per `classes`, async links carry
-/// no obligation and count toward no quorum, and a row or column with
-/// fewer than a majority of required links never holds; the homogeneous
-/// models are the all-sync case. Adds the round's fates to `tallies`
-/// (sized by reset(m)). At any sorted index i, sat_at(i), csat_at(i) and
-/// the tallies equal classify_round at t_i followed by
-/// packed_evaluate_granular.
+/// Ranks one round given its links' ranks against m sorted distinct
+/// timeouts (an n x n plane, row dst, column src, as
+/// LatencyModel::draw_ranked_round fills it; self links {0, 0}). Per
+/// `classes`, async links carry no obligation and count toward no quorum,
+/// and a row or column with fewer than a majority of required links never
+/// holds; the homogeneous models are the all-sync case. Adds the round's
+/// fates to `tallies` (sized by reset(m)). At any sorted index i,
+/// sat_at(i), csat_at(i) and the tallies equal classify_round at t_i
+/// followed by packed_evaluate_granular.
+RoundRanks rank_round(std::span<const LinkRank> ranks, int n, int m,
+                      ProcessId leader, const GranularPlanes& classes,
+                      RankScratch& scratch, RankTallies& tallies);
+
+/// The same for a drawn round (n x n latency plane, as draw_latency_round
+/// fills it): ranks each link (rank_latencies), then the overload above.
 RoundRanks rank_round(std::span<const double> latency, int n,
                       std::span<const double> sorted_timeouts,
                       ProcessId leader, const GranularPlanes& classes,

@@ -325,8 +325,12 @@ void expect_same_run(const StreamedRun& a, const StreamedRun& b) {
 
 /// One run of `tb` swept over `timeouts` against a fresh single-timeout
 /// streamed run per timeout (same model seed, same start sub-stream):
-/// every statistic must agree bit for bit, and the sweep must draw each
-/// round's latencies once.
+/// every statistic must agree bit for bit. The sweep runs twice: on the
+/// bare model (its own draw_ranked_round; the WAN model's ranks most
+/// links from a bound) and through CountingModel, which overrides only
+/// sample_ms and so ranks every latency it draws, once per round. After
+/// its sweep, the bare model's next latencies must be those of a twin
+/// that drew every round exactly.
 void check_sweep_matches_streaming(Testbed tb,
                                    const std::vector<double>& timeouts,
                                    const GranularContext* g) {
@@ -337,6 +341,11 @@ void check_sweep_matches_streaming(Testbed tb,
     SCOPED_TRACE(testing::Message() << "run=" << run);
     const std::uint64_t seed = substream_seed(31, run);
     const ProcessId leader = static_cast<ProcessId>(run + 2);
+    auto bare = testbed_model(tb, seed);
+    Rng bare_starts = substream(17, run);
+    const std::vector<GranularStreamedRun> ranked =
+        measure_run_sweep(*bare, timeouts, rounds, leader, needed,
+                          start_points, bare_starts, g);
     auto model = testbed_model(tb, seed);
     CountingModel counted(*model);
     Rng start_rng = substream(17, run);
@@ -345,24 +354,34 @@ void check_sweep_matches_streaming(Testbed tb,
                           start_points, start_rng, g);
     const int n = counted.n();
     EXPECT_EQ(counted.draws, static_cast<long long>(rounds) * n * (n - 1));
+    std::vector<double> want;
+    std::vector<double> got;
+    draw_latency_round(*model, rounds + 1, want);
+    draw_latency_round(*bare, rounds + 1, got);
+    EXPECT_EQ(got, want) << "the bare model's next round";
     ASSERT_EQ(sweep.size(), timeouts.size());
+    ASSERT_EQ(ranked.size(), timeouts.size());
     for (std::size_t ti = 0; ti < timeouts.size(); ++ti) {
       SCOPED_TRACE(testing::Message() << "timeout=" << timeouts[ti]);
       auto fresh = testbed_model(tb, seed);
       LatencyTimelinessSampler sampler(*fresh, timeouts[ti]);
       Rng fresh_starts = substream(17, run);
       if (g == nullptr) {
-        expect_same_run(sweep[ti].base,
-                        measure_run_streaming(sampler, rounds, leader,
-                                              needed, start_points,
-                                              fresh_starts));
+        const StreamedRun want_run = measure_run_streaming(
+            sampler, rounds, leader, needed, start_points, fresh_starts);
+        expect_same_run(sweep[ti].base, want_run);
+        expect_same_run(ranked[ti].base, want_run);
         EXPECT_EQ(sweep[ti].class_pm,
                   (std::array<double, kNumLinkModelClasses>{}));
+        EXPECT_EQ(ranked[ti].class_pm,
+                  (std::array<double, kNumLinkModelClasses>{}));
       } else {
-        const GranularStreamedRun want = measure_run_streaming_granular(
+        const GranularStreamedRun want_run = measure_run_streaming_granular(
             sampler, rounds, leader, needed, start_points, fresh_starts, *g);
-        expect_same_run(sweep[ti].base, want.base);
-        EXPECT_EQ(sweep[ti].class_pm, want.class_pm);
+        expect_same_run(sweep[ti].base, want_run.base);
+        expect_same_run(ranked[ti].base, want_run.base);
+        EXPECT_EQ(sweep[ti].class_pm, want_run.class_pm);
+        EXPECT_EQ(ranked[ti].class_pm, want_run.class_pm);
       }
     }
   }
@@ -418,6 +437,22 @@ TEST(RunSweep, MatchesStreamingOnShuffledAndDuplicateTimeouts) {
 TEST(RunSweep, MatchesStreamingOnThreeHundredDistinctTimeouts) {
   check_sweep_matches_streaming(Testbed::kWan, many_timeouts(300, 9),
                                 nullptr);
+  const GranularContext g{LinkModelMatrix::mixed(8, 0.3, 0.3, 9)};
+  check_sweep_matches_streaming(Testbed::kWan, many_timeouts(300, 9), &g);
+}
+
+TEST(RunSweep, MatchesStreamingOnFig1iTimeouts) {
+  const std::vector<double> fig1i = {140, 150, 160, 165, 170, 175, 180, 190,
+                                     200, 210, 220, 230, 250, 270, 300};
+  check_sweep_matches_streaming(Testbed::kWan, fig1i, nullptr);
+  const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 31)};
+  check_sweep_matches_streaming(Testbed::kWan, fig1i, &g);
+}
+
+TEST(RunSweep, EmptyTimeoutListKeepsTheModelInStep) {
+  check_sweep_matches_streaming(Testbed::kWan, {}, nullptr);
+  const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 77)};
+  check_sweep_matches_streaming(Testbed::kWan, {}, &g);
 }
 
 TEST(RunSweep, EmptyTimeoutListGivesNoRuns) {

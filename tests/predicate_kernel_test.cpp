@@ -4,7 +4,8 @@
 // for every n in 1..65 and 127..130 (crossing the one-, two- and
 // three-word row boundaries), and the packed samplers must reproduce the
 // exact matrices of the scalar sample_round for the same RNG sub-stream,
-// alone and under fault injection.
+// alone and under fault injection. The WAN model's ranked round must give
+// the ranks of its exact latencies and stay in step with them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "models/link_model_matrix.hpp"
 #include "models/predicates.hpp"
 #include "models/schedule.hpp"
+#include "sim/latency_model.hpp"
 #include "sim/link_matrix.hpp"
 #include "sim/packed_eval.hpp"
 #include "sim/sampler.hpp"
@@ -295,6 +297,100 @@ TEST(FusedKernel, OneLatencyPlaneClassifiesAgainstEveryTimeout) {
       }
     }
   }
+}
+
+/// The WAN profile with one edge of the ranked round's bound changed.
+std::vector<std::pair<const char*, WanProfile>> edge_wan_profiles() {
+  std::vector<std::pair<const char*, WanProfile>> out;
+  out.emplace_back("default", WanProfile{});
+  WanProfile p;
+  p.medium.jitter_sigma = 0.0;
+  out.emplace_back("medium links with sigma 0", p);
+  p = WanProfile{};
+  p.good.spike_prob = p.medium.spike_prob = p.bad.spike_prob = 1.0;
+  out.emplace_back("every message spikes", p);
+  p = WanProfile{};
+  p.good.loss_prob = p.medium.loss_prob = p.bad.loss_prob = 1.0;
+  out.emplace_back("every message lost", p);
+  WanProfile on;
+  on.slow_run_prob = on.slow_enter_prob = on.burst_enter_prob = 1.0;
+  on.slow_exit_prob = on.burst_exit_prob = 0.0;
+  out.emplace_back("slow and burst episodes always on", on);
+  p = WanProfile{};
+  p.run_jitter_sigma = 0.0;
+  out.emplace_back("run_jitter_sigma 0", p);
+  p = on;
+  p.slow_extra_ms = 140.0;  // t - X = 0 at the 140 ms timeout
+  out.emplace_back("an extra equal to a timeout", p);
+  p = on;
+  p.burst_extra_ms = -50.0;
+  out.emplace_back("a negative extra", p);
+  p = WanProfile{};
+  p.bad.jitter_sigma = 100.0;  // past the bound's sigma; exp overflows
+  out.emplace_back("bad links with sigma 100", p);
+  p = on;
+  p.bad.jitter_sigma = 60.0;  // exp(sigma z) is often far below an ulp
+  p.slow_extra_ms = 140.0;    // of the extra, so ms = X exactly
+  out.emplace_back("bad links with sigma 60, an extra equal to a timeout",
+                   p);
+  p = WanProfile{};
+  p.good.jitter_sigma = -0.1;
+  out.emplace_back("good links with sigma -0.1", p);
+  return out;
+}
+
+TEST(WanRankedRound, MatchesExactRanksAndStaysInStep) {
+  // The WAN model's ranked round skips the arithmetic of the latencies
+  // its bound can rank. Against a twin model drawn exactly, every link's
+  // (timely, lost) ranks must equal rank_latency of the exact latency,
+  // exact rounds interleaved on the ranked model must draw the same
+  // latencies (a Box-Muller pair may straddle the two kinds of round),
+  // and both models must then draw the same next latencies.
+  std::vector<double> many;
+  for (int i = 0; i < 300; ++i) many.push_back(0.5 + 1.25 * i);
+  const std::vector<std::vector<double>> sweeps = {
+      {1, 140, 150, 160, 170, 180, 190, 200, 210, 230, 260, 300, 350},
+      {0.5, 1, 140, 160, 210, 300, 350},
+      {140, 150, 160, 165, 170, 175, 180, 190, 200, 210, 220, 230, 250, 270,
+       300},
+      many,
+      {}};
+  long long ranked_links = 0;
+  for (const auto& [name, profile] : edge_wan_profiles()) {
+    for (const std::vector<double>& timeouts : sweeps) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << name << ", " << timeouts.size()
+                                        << " timeouts, seed " << seed);
+        WanLatencyModel ranked(profile, seed);
+        WanLatencyModel exact(profile, seed);
+        std::vector<LinkRank> ranks;
+        std::vector<double> want;
+        std::vector<double> got;
+        for (Round k = 1; k <= 40; ++k) {
+          draw_latency_round(exact, k, want);
+          if (k % 4 == 0) {
+            draw_latency_round(ranked, k, got);
+            ASSERT_EQ(got, want) << "round " << k;
+            continue;
+          }
+          ranked.draw_ranked_round(k, timeouts, ranks);
+          ASSERT_EQ(ranks.size(), want.size());
+          for (std::size_t c = 0; c < want.size(); ++c) {
+            const LinkRank r = rank_latency(want[c], timeouts);
+            ASSERT_EQ(ranks[c].timely, r.timely)
+                << "round " << k << " cell " << c << " latency " << want[c];
+            ASSERT_EQ(ranks[c].lost, r.lost)
+                << "round " << k << " cell " << c << " latency " << want[c];
+          }
+          ranked_links += static_cast<long long>(want.size());
+        }
+        draw_latency_round(exact, 41, want);
+        draw_latency_round(ranked, 41, got);
+        ASSERT_EQ(got, want) << "the next round's draws";
+      }
+    }
+  }
+  EXPECT_GT(ranked_links, 0);
 }
 
 TEST(FusedKernel, LatencyPackedSampleMatchesScalarSubstream) {
