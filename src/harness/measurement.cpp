@@ -108,11 +108,16 @@ DecisionStats decision_stats(const std::vector<std::uint8_t>& sat, int needed,
 
 ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
                                                    std::vector<int> starts,
-                                                   int total_rounds)
-    : needed_(needed), total_(total_rounds), starts_(std::move(starts)),
-      rounds_(starts_.size(), -1.0) {
+                                                   int total_rounds,
+                                                   int timeouts)
+    : needed_(needed), total_(total_rounds), m_(timeouts),
+      starts_(std::move(starts)) {
   TM_CHECK(needed_ >= 1, "window length must be positive");
   TM_CHECK(total_ > needed_, "run shorter than the decision window");
+  TM_CHECK(m_ >= 0, "timeout count must be non-negative");
+  hist_.assign(static_cast<std::size_t>(m_) + 1, 0);
+  ring_.assign(static_cast<std::size_t>(needed_), 0);
+  suffix_.assign(static_cast<std::size_t>(needed_) + 1, 0);
   by_start_.resize(starts_.size());
   for (std::size_t j = 0; j < starts_.size(); ++j) {
     TM_CHECK(starts_[j] >= 0 && starts_[j] < total_,
@@ -124,39 +129,68 @@ ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
               return starts_[a] != starts_[b] ? starts_[a] < starts_[b]
                                               : a < b;
             });
+  resolved_.assign(static_cast<std::size_t>(m_), 0);
+  end_.assign(static_cast<std::size_t>(m_) * starts_.size(), -1);
 }
 
-void ConsecutiveWindowTracker::observe(bool satisfied) noexcept {
+void ConsecutiveWindowTracker::observe_rank(int rank) noexcept {
+  TM_CHECK(rank >= 0 && rank <= m_, "rank out of range");
   const int i = round_++;
-  if (!satisfied) {
-    streak_ = 0;
-    return;
+  ++hist_[static_cast<std::size_t>(rank)];
+  // Max rank of rounds i - needed + 1 .. i: the previous block's slots
+  // after this one, then the current block's up to it. Before the first
+  // full window it reads zeros, but then no start point is in reach.
+  const auto slot = static_cast<std::size_t>(slot_);
+  ring_[slot] = rank;
+  prefix_ = std::max(prefix_, rank);
+  const int window_max = std::max(suffix_[slot + 1], prefix_);
+  if (++slot_ == needed_) {
+    for (std::size_t q = ring_.size(); q-- > 0;) {
+      suffix_[q] = std::max(suffix_[q + 1], ring_[q]);
+    }
+    slot_ = 0;
+    prefix_ = 0;
   }
-  ++sat_rounds_;
-  ++streak_;
-  if (streak_ < needed_) return;
-  // A `needed`-long satisfied window ends at round i. Every pending start
-  // point at or before the window's first round resolves here with
-  // i - start + 1 rounds — the same value rounds_until_conditions returns,
-  // because a streak that began before `start` still leaves a full window
-  // inside [start, i] whenever start <= i - needed + 1.
+  // A window ending at round i resolves every pending start point at or
+  // before its first round with i - start + 1 rounds — the same value
+  // rounds_until_conditions returns, because a streak that began before
+  // `start` still leaves a full window inside [start, i] whenever
+  // start <= i - needed + 1.
   const int cutoff = i - needed_ + 1;
-  while (next_ < by_start_.size() && starts_[by_start_[next_]] <= cutoff) {
-    const std::size_t j = by_start_[next_++];
-    rounds_[j] = static_cast<double>(i - starts_[j] + 1);
+  while (reached_ < by_start_.size() &&
+         starts_[by_start_[reached_]] <= cutoff) {
+    ++reached_;
+  }
+  // The window holds at indices window_max.. m-1. Their resolved prefixes
+  // never shrink with the index, so those already at reached_ end the walk.
+  const std::size_t points = starts_.size();
+  for (int t = window_max; t < m_; ++t) {
+    std::size_t& done = resolved_[static_cast<std::size_t>(t)];
+    if (done == reached_) break;
+    int* end = end_.data() + static_cast<std::size_t>(t) * points;
+    for (; done < reached_; ++done) end[by_start_[done]] = i;
   }
 }
 
-DecisionStats ConsecutiveWindowTracker::finalize() const {
+long long ConsecutiveWindowTracker::satisfied_rounds(int t) const noexcept {
+  TM_CHECK(t >= 0 && t < m_, "sorted timeout index out of range");
+  long long sat = 0;
+  for (int r = 0; r <= t; ++r) sat += hist_[static_cast<std::size_t>(r)];
+  return sat;
+}
+
+DecisionStats ConsecutiveWindowTracker::finalize(int t) const {
   TM_CHECK(!starts_.empty(), "need at least one start point");
+  TM_CHECK(t >= 0 && t < m_, "sorted timeout index out of range");
+  const int* end = end_.data() + static_cast<std::size_t>(t) * starts_.size();
   DecisionStats out;
   int censored = 0;
   double sum = 0.0;
   // Accumulate in the original draw order so the floating-point sum is
   // bit-identical to decision_stats over the materialised sat vector.
   for (std::size_t j = 0; j < starts_.size(); ++j) {
-    if (rounds_[j] >= 0.0) {
-      sum += rounds_[j];
+    if (end[j] >= 0) {
+      sum += static_cast<double>(end[j] - starts_[j] + 1);
     } else {
       sum += static_cast<double>(total_ - starts_[j]);  // censored bound
       ++censored;
@@ -188,54 +222,56 @@ std::array<std::vector<int>, kNumModels> draw_start_points(Rng& start_rng,
   return starts;
 }
 
-/// What one streamed run accumulates: fate tallies, a window tracker per
-/// model and per-class conformance counts. Every streaming entry point
-/// feeds one of these per run (per timeout, for a sweep) and finishes
-/// with its finalize().
+/// What one streamed run accumulates at m sorted timeouts: a window
+/// tracker per model and a rank histogram per link class, both fed the
+/// round's ranks. Every streaming entry point feeds one of these per run
+/// and reads each timeout's statistics off it with finalize().
 class StreamedRunAccum {
  public:
   StreamedRunAccum(const std::array<int, kNumModels>& needed,
                    const std::array<std::vector<int>, kNumModels>& starts,
-                   int rounds, int n)
+                   int rounds, int n, int m)
       : rounds_(rounds),
         messages_per_round_(static_cast<long long>(n) * (n - 1)) {
     track_.reserve(kNumModels);
     for (std::size_t i = 0; i < kNumModels; ++i) {
-      track_.emplace_back(needed[i], starts[i], rounds);
+      track_.emplace_back(needed[i], starts[i], rounds, m);
     }
+    for (auto& h : class_hist_) h.assign(static_cast<std::size_t>(m) + 1, 0);
   }
 
-  /// One round's per-model sat bits (kAllModels order) and per-class
-  /// conformance bits.
-  void observe(std::uint8_t sat, std::uint8_t csat) noexcept {
+  /// One round's ranks: per model (kAllModels order) and per class, the
+  /// first sorted index at which it holds, m if none.
+  void observe(const RoundRanks& ranks) noexcept {
     for (std::size_t i = 0; i < kNumModels; ++i) {
-      track_[i].observe((sat & (1u << i)) != 0);
+      track_[i].observe_rank(ranks.model[i]);
     }
     for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
-      if (csat & (1u << c)) ++class_sat_[c];
+      ++class_hist_[c][static_cast<std::size_t>(ranks.cls[c])];
     }
   }
 
-  /// Off-diagonal message fates, of one round or of many.
-  void add_fates(const FusedRoundEval& fates) noexcept {
-    out_.base.messages_timely += fates.timely;
-    out_.base.messages_late += fates.late;
-    out_.base.messages_lost += fates.lost;
-  }
-
-  GranularStreamedRun finalize() const {
-    GranularStreamedRun out = out_;
+  /// The run at sorted index t, given its off-diagonal fate tallies there.
+  GranularStreamedRun finalize(int t, const FusedRoundEval& fates) const {
+    GranularStreamedRun out;
     out.base.messages_total = messages_per_round_ * rounds_;
+    out.base.messages_timely = fates.timely;
+    out.base.messages_late = fates.late;
+    out.base.messages_lost = fates.lost;
     const auto rounds = static_cast<double>(rounds_);
     for (std::size_t i = 0; i < kNumModels; ++i) {
-      const DecisionStats ds = track_[i].finalize();
+      const DecisionStats ds = track_[i].finalize(t);
       out.base.pm[i] =
-          static_cast<double>(track_[i].satisfied_rounds()) / rounds;
+          static_cast<double>(track_[i].satisfied_rounds(t)) / rounds;
       out.base.mean_rounds[i] = ds.mean_rounds;
       out.base.censored[i] = ds.censored_fraction;
     }
     for (std::size_t c = 0; c < kNumLinkModelClasses; ++c) {
-      out.class_pm[c] = static_cast<double>(class_sat_[c]) / rounds;
+      long long conform = 0;
+      for (int r = 0; r <= t; ++r) {
+        conform += class_hist_[c][static_cast<std::size_t>(r)];
+      }
+      out.class_pm[c] = static_cast<double>(conform) / rounds;
     }
     return out;
   }
@@ -243,10 +279,21 @@ class StreamedRunAccum {
  private:
   int rounds_;
   long long messages_per_round_;
-  GranularStreamedRun out_;  ///< fate tallies so far; the rest by finalize
   std::vector<ConsecutiveWindowTracker> track_;
-  std::array<long long, kNumLinkModelClasses> class_sat_{};
+  std::array<std::vector<long long>, kNumLinkModelClasses> class_hist_;
 };
+
+/// A single-timeout round (m = 1) as ranks: 0 where its bit is set, else 1.
+RoundRanks single_timeout_ranks(std::uint8_t sat, std::uint8_t csat) noexcept {
+  RoundRanks ranks;
+  for (std::size_t i = 0; i < ranks.model.size(); ++i) {
+    ranks.model[i] = static_cast<int>(((sat >> i) & 1u) ^ 1u);
+  }
+  for (std::size_t c = 0; c < ranks.cls.size(); ++c) {
+    ranks.cls[c] = static_cast<int>(((csat >> c) & 1u) ^ 1u);
+  }
+  return ranks;
+}
 
 void check_run_shape(int rounds, int start_points) {
   TM_CHECK(rounds > 0, "need at least one round");
@@ -263,16 +310,19 @@ StreamedRun measure_run_streaming(TimelinessSampler& sampler, int rounds,
   const int n = sampler.n();
   StreamedRunAccum acc(needed,
                        draw_start_points(start_rng, rounds, start_points),
-                       rounds, n);
+                       rounds, n, 1);
   PackedLinkMatrix a(n);
   ColumnDeficits cols;
+  FusedRoundEval fates;
   for (int r = 1; r <= rounds; ++r) {
     const FusedRoundEval e =
         sampler.sample_round_and_evaluate(r, leader, a, cols);
-    acc.add_fates(e);
-    acc.observe(e.mask, 0);
+    fates.timely += e.timely;
+    fates.late += e.late;
+    fates.lost += e.lost;
+    acc.observe(single_timeout_ranks(e.mask, 0));
   }
-  return acc.finalize().base;
+  return acc.finalize(0, fates).base;
 }
 
 GranularStreamedRun measure_run_streaming_granular(
@@ -284,19 +334,18 @@ GranularStreamedRun measure_run_streaming_granular(
   TM_CHECK(n == g.n(), "link-model matrix size must match the sampler");
   StreamedRunAccum acc(needed,
                        draw_start_points(start_rng, rounds, start_points),
-                       rounds, n);
+                       rounds, n, 1);
   PackedLinkMatrix a(n);
+  FusedRoundEval fates;
   for (int r = 1; r <= rounds; ++r) {
     // sample_round_and_evaluate's steps over g's planes instead of the
     // all-sync ones; the kernel sweep also gives the class conformance.
     sampler.sample_round(r, a);
-    FusedRoundEval fates;
     tally_fates(a, fates);
     const GranularEval e = evaluate_all_granular(a, leader, g);
-    acc.add_fates(fates);
-    acc.observe(e.sat, e.csat);
+    acc.observe(single_timeout_ranks(e.sat, e.csat));
   }
-  return acc.finalize();
+  return acc.finalize(0, fates);
 }
 
 std::vector<GranularStreamedRun> measure_run_sweep(
@@ -322,39 +371,34 @@ std::vector<GranularStreamedRun> measure_run_sweep(
   }
 
   // Every timeout replays the same run, so all of them share one set of
-  // start points: the ones a fresh `start_rng` gives measure_run_streaming.
-  const auto starts = draw_start_points(start_rng, rounds, start_points);
-  std::vector<StreamedRunAccum> acc;
-  acc.reserve(timeouts_ms.size());
-  for (std::size_t t = 0; t < timeouts_ms.size(); ++t) {
-    acc.emplace_back(needed, starts, rounds, n);
-  }
+  // start points (the ones a fresh `start_rng` gives measure_run_streaming)
+  // and one accumulator over the sorted timeouts.
+  const int m = static_cast<int>(sorted.size());
+  StreamedRunAccum acc(needed,
+                       draw_start_points(start_rng, rounds, start_points),
+                       rounds, n, m);
 
   // The homogeneous sweep is the all-sync case of the granular one; it
-  // reports no class conformance.
+  // reports no class conformance (rank m: no class conforms anywhere).
   const GranularPlanes& classes =
       g == nullptr ? all_sync_planes(n) : g->planes();
-  const int m = static_cast<int>(sorted.size());
   std::vector<LinkRank> links;
   RankScratch scratch;
   RankTallies tallies;
   tallies.reset(m);
   for (int r = 1; r <= rounds; ++r) {
     model.draw_ranked_round(r, sorted, links);
-    const RoundRanks ranks =
+    RoundRanks ranks =
         rank_round(links, n, m, leader, classes, scratch, tallies);
-    for (std::size_t t = 0; t < acc.size(); ++t) {
-      acc[t].observe(ranks.sat_at(sorted_at[t]),
-                     g == nullptr ? 0 : ranks.csat_at(sorted_at[t]));
-    }
+    if (g == nullptr) ranks.cls.fill(m);
+    acc.observe(ranks);
   }
 
   const std::vector<FusedRoundEval> fates = tallies.fates();
   std::vector<GranularStreamedRun> out;
-  out.reserve(acc.size());
-  for (std::size_t t = 0; t < acc.size(); ++t) {
-    acc[t].add_fates(fates[static_cast<std::size_t>(sorted_at[t])]);
-    out.push_back(acc[t].finalize());
+  out.reserve(timeouts_ms.size());
+  for (const int t : sorted_at) {
+    out.push_back(acc.finalize(t, fates[static_cast<std::size_t>(t)]));
   }
   return out;
 }

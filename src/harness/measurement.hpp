@@ -72,40 +72,64 @@ DecisionStats decision_stats(const std::vector<std::uint8_t>& sat, int needed,
                              int start_points, Rng& rng);
 
 /// Streaming replacement for the sat-vector + rounds_until_conditions /
-/// decision_stats pipeline: pre-draw the random start points, then feed
-/// one satisfied/unsatisfied bit per round. A start point s resolves at
-/// the first 0-based round i with a `needed`-long satisfied streak whose
-/// window lies at or after s (i - needed + 1 >= s), yielding i - s + 1
-/// rounds — exactly rounds_until_conditions(sat, s, needed). finalize()
-/// averages in the original draw order, so the statistics are
-/// bit-identical to the vector-based path while the run itself stores
-/// nothing per round.
+/// decision_stats pipeline for one model at m sorted timeouts t_0 < ... <
+/// t_{m-1}: pre-draw the random start points, then feed one rank per
+/// round, the first sorted index at which the model holds (m if none, as
+/// RoundRanks::model gives it). A longer timeout only adds timely links,
+/// so the round satisfies the model at index t iff its rank <= t. A start
+/// point s resolves at t at the first 0-based round i with a `needed`-long
+/// window ending at i that lies at or after s (i - needed + 1 >= s) and
+/// whose max rank is <= t, yielding i - s + 1 rounds — exactly
+/// rounds_until_conditions over index t's sat vector. Each index's start
+/// points resolve in ascending order, and a window at t is one at every
+/// later index, so a round touches only the indices whose resolved prefix
+/// it extends. finalize(t) averages in the original draw order, so the
+/// statistics are bit-identical to the vector-based path while the run
+/// itself stores nothing per round beyond a ring of the last `needed`
+/// ranks. The single-timeout case is m = 1, fed a satisfied bit per round.
 class ConsecutiveWindowTracker {
  public:
-  /// `starts` in draw order (0-based round indices).
+  /// `starts` in draw order (0-based round indices); `timeouts` is m.
   ConsecutiveWindowTracker(int needed, std::vector<int> starts,
-                           int total_rounds);
+                           int total_rounds, int timeouts = 1);
 
-  /// Feed round (#prior calls, 0-based).
-  void observe(bool satisfied) noexcept;
+  /// Feed round (#prior calls, 0-based) by its rank, 0..m.
+  void observe_rank(int rank) noexcept;
 
-  /// Satisfied rounds seen so far (P_M numerator).
-  long long satisfied_rounds() const noexcept { return sat_rounds_; }
+  /// Feed round (#prior calls, 0-based) at m = 1: rank 0 or 1.
+  void observe(bool satisfied) noexcept { observe_rank(satisfied ? 0 : 1); }
 
-  /// Mean/censored over the start points; unresolved points report the
-  /// remaining run length (censored), like rounds_until_conditions.
-  DecisionStats finalize() const;
+  /// Rounds seen so far that satisfy the model at sorted index t (P_M
+  /// numerator): a prefix sum of the rank histogram.
+  long long satisfied_rounds(int t = 0) const noexcept;
+
+  /// Mean/censored over the start points at sorted index t; unresolved
+  /// points report the remaining run length (censored), like
+  /// rounds_until_conditions.
+  DecisionStats finalize(int t = 0) const;
 
  private:
   int needed_;
   int total_;
+  int m_;
   int round_ = 0;
-  int streak_ = 0;
-  long long sat_rounds_ = 0;
+  std::vector<long long> hist_;  ///< rounds per rank, 0..m
+  // Max rank of the last `needed` rounds, by blocks of `needed` rounds:
+  // ring_ holds the current block, suffix_[q] the max of the previous
+  // block's slots q.. (suffix_[needed] = 0), prefix_ the current block's
+  // max so far. One store and two max per round; suffix_ is rebuilt once
+  // per block.
+  std::vector<int> ring_;
+  std::vector<int> suffix_;
+  int slot_ = 0;  ///< current slot of ring_
+  int prefix_ = 0;
   std::vector<int> starts_;            ///< draw order
   std::vector<std::size_t> by_start_;  ///< indices of starts_, ascending
-  std::size_t next_ = 0;               ///< first unresolved entry of by_start_
-  std::vector<double> rounds_;         ///< per draw-order index; -1 pending
+  std::size_t reached_ = 0;  ///< entries of by_start_ within the cutoff
+  std::vector<std::size_t> resolved_;  ///< per index: entries resolved
+  /// [t * starts + j]: the round at which start j resolved at index t, or
+  /// -1 while pending.
+  std::vector<int> end_;
 };
 
 /// One streamed measurement run: per-model P_M incidence and the mean
@@ -160,9 +184,10 @@ GranularStreamedRun measure_run_streaming_granular(
 /// n(n-1) messages are drawn once and ranked against the sorted distinct
 /// timeouts (LatencyModel::draw_ranked_round, which for the WAN model
 /// evaluates only the few latencies its bound cannot rank), then the
-/// round is ranked once (rank_round). Each timeout's window trackers are
-/// fed "threshold <= its sorted index", and its fate tallies come from
-/// prefix sums of the run's rank histograms. Entry t is
+/// round is ranked once (rank_round). Each model's one window tracker
+/// follows it over every sorted timeout from its round ranks, and each
+/// timeout's P_M, class conformance and fate tallies come from prefix
+/// sums of the run's rank histograms. Entry t is
 /// bit-identical to measure_run_streaming — or, with `g`,
 /// measure_run_streaming_granular — over a LatencyTimelinessSampler for
 /// timeouts_ms[t], given an identically seeded fresh model and

@@ -245,6 +245,64 @@ TEST(Streaming, WindowTrackerMatchesDecisionStatsBitForBit) {
     EXPECT_EQ(got.censored_fraction, want.censored_fraction);
     EXPECT_EQ(tracker.satisfied_rounds(), sat_count);
   }
+
+  // One tracker over m sorted timeouts, fed a rank per round: at every
+  // index t it must be decision_stats over the sat vector "rank <= t".
+  // Each run's start sub-stream is the first whose draws include round 0
+  // and the last start point a run of that length can give.
+  Rng rank_rng(0x5eedULL);
+  std::uint64_t stream = 0;
+  for (const int m : {0, 1, 2, 12, 40}) {
+    for (int needed = 1; needed <= 6; ++needed) {
+      for (int shape = 0; shape < 4; ++shape) {
+        SCOPED_TRACE(testing::Message() << "m=" << m << " needed=" << needed
+                                        << " shape=" << shape);
+        const int len =
+            shape == 0 ? needed + 1
+                       : needed + 1 +
+                             static_cast<int>(rank_rng.uniform_int(
+                                 static_cast<std::uint64_t>(120 - needed)));
+        const double low = std::array<double, 4>{0.9, 0.3, 0.7, 0.95}[shape];
+        std::vector<int> ranks(static_cast<std::size_t>(len));
+        for (int& r : ranks) {
+          const int top = rank_rng.bernoulli(low) ? m / 3 : m;
+          r = static_cast<int>(
+              rank_rng.uniform_int(static_cast<std::uint64_t>(top) + 1));
+        }
+        const int start_points = 15;
+        const int span = std::max(1, len / 2);
+        std::vector<int> starts;
+        for (bool first = false, last = false; !(first && last); ++stream) {
+          Rng pick = substream(99, stream);
+          starts.assign(static_cast<std::size_t>(start_points), 0);
+          for (int& s : starts) {
+            s = static_cast<int>(
+                pick.uniform_int(static_cast<std::uint64_t>(span)));
+          }
+          first = std::count(starts.begin(), starts.end(), 0) > 0;
+          last = std::count(starts.begin(), starts.end(), span - 1) > 0;
+        }
+        const std::uint64_t picked = stream - 1;
+        ConsecutiveWindowTracker tracker(needed, starts, len, m);
+        for (const int r : ranks) tracker.observe_rank(r);
+        for (int t = 0; t < m; ++t) {
+          std::vector<std::uint8_t> sat;
+          for (const int r : ranks) sat.push_back(r <= t ? 1 : 0);
+          Rng rng = substream(99, picked);
+          const DecisionStats want =
+              decision_stats(sat, needed, start_points, rng);
+          const DecisionStats got = tracker.finalize(t);
+          EXPECT_EQ(got.mean_rounds, want.mean_rounds) << "t=" << t;
+          EXPECT_EQ(got.censored_fraction, want.censored_fraction)
+              << "t=" << t;
+          EXPECT_EQ(tracker.satisfied_rounds(t),
+                    std::count(sat.begin(), sat.end(), 1))
+              << "t=" << t;
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(Streaming, MeasureRunStreamingMatchesVectorPipeline) {
@@ -331,12 +389,11 @@ void expect_same_run(const StreamedRun& a, const StreamedRun& b) {
 /// sample_ms and so ranks every latency it draws, once per round. After
 /// its sweep, the bare model's next latencies must be those of a twin
 /// that drew every round exactly.
-void check_sweep_matches_streaming(Testbed tb,
-                                   const std::vector<double>& timeouts,
-                                   const GranularContext* g) {
-  const int rounds = 120;
+void check_sweep_matches_streaming(
+    Testbed tb, const std::vector<double>& timeouts, const GranularContext* g,
+    int rounds = 120,
+    const std::array<int, kNumModels>& needed = {3, 3, 4, 5}) {
   const int start_points = 15;
-  const std::array<int, kNumModels> needed = {3, 3, 4, 5};
   for (std::uint64_t run = 0; run < 3; ++run) {
     SCOPED_TRACE(testing::Message() << "run=" << run);
     const std::uint64_t seed = substream_seed(31, run);
@@ -447,6 +504,31 @@ TEST(RunSweep, MatchesStreamingOnFig1iTimeouts) {
   check_sweep_matches_streaming(Testbed::kWan, fig1i, nullptr);
   const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 31)};
   check_sweep_matches_streaming(Testbed::kWan, fig1i, &g);
+}
+
+TEST(RunSweep, MatchesStreamingOnEdgeWindowShapes) {
+  // A one-slot window ring (R_M = 1 for every model), windows of mixed
+  // lengths, runs one round longer than the longest window, and one
+  // timeout listed three times.
+  const std::vector<double> wan = {200, 150, 200, 350, 200};
+  const std::vector<double> lan = {0.5, 0.2, 0.5, 1.2, 0.5};
+  const GranularContext g{LinkModelMatrix::mixed(8, 0.2, 0.3, 41)};
+  for (const std::array<int, kNumModels>& needed :
+       {std::array<int, kNumModels>{1, 1, 1, 1},
+        std::array<int, kNumModels>{5, 1, 2, 5}}) {
+    const int longest = *std::max_element(needed.begin(), needed.end());
+    for (const int rounds : {longest + 1, 120}) {
+      SCOPED_TRACE(testing::Message() << "needed=" << needed[0] << ","
+                                      << needed[1] << "," << needed[2] << ","
+                                      << needed[3] << " rounds=" << rounds);
+      check_sweep_matches_streaming(Testbed::kWan, wan, nullptr, rounds,
+                                    needed);
+      check_sweep_matches_streaming(Testbed::kWan, wan, &g, rounds, needed);
+      check_sweep_matches_streaming(Testbed::kLan, lan, nullptr, rounds,
+                                    needed);
+      check_sweep_matches_streaming(Testbed::kLan, lan, &g, rounds, needed);
+    }
+  }
 }
 
 TEST(RunSweep, EmptyTimeoutListKeepsTheModelInStep) {
