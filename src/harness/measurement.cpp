@@ -1,6 +1,7 @@
 #include "harness/measurement.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -129,6 +130,9 @@ ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
               return starts_[a] != starts_[b] ? starts_[a] < starts_[b]
                                               : a < b;
             });
+  sorted_.reserve(starts_.size() + 1);
+  for (const std::size_t j : by_start_) sorted_.push_back(starts_[j]);
+  sorted_.push_back(std::numeric_limits<int>::max());  // never in reach
   resolved_.assign(static_cast<std::size_t>(m_), 0);
   end_.assign(static_cast<std::size_t>(m_) * starts_.size(), -1);
 }
@@ -136,40 +140,56 @@ ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
 void ConsecutiveWindowTracker::observe_rank(int rank) noexcept {
   TM_CHECK(rank >= 0 && rank <= m_, "rank out of range");
   const int i = round_++;
+  const int needed = needed_;
+  const int slot = slot_;
   ++hist_[static_cast<std::size_t>(rank)];
   // Max rank of rounds i - needed + 1 .. i: the previous block's slots
   // after this one, then the current block's up to it. Before the first
   // full window it reads zeros, but then no start point is in reach.
-  const auto slot = static_cast<std::size_t>(slot_);
-  ring_[slot] = rank;
-  prefix_ = std::max(prefix_, rank);
-  const int window_max = std::max(suffix_[slot + 1], prefix_);
-  if (++slot_ == needed_) {
-    for (std::size_t q = ring_.size(); q-- > 0;) {
-      suffix_[q] = std::max(suffix_[q + 1], ring_[q]);
-    }
-    slot_ = 0;
-    prefix_ = 0;
+  const int prefix = std::max(prefix_, rank);
+  const int window_max =
+      std::max(suffix_[static_cast<std::size_t>(slot) + 1], prefix);
+  ring_[static_cast<std::size_t>(slot)] = rank;
+  if (slot + 1 < needed) {
+    slot_ = slot + 1;
+    prefix_ = prefix;
+  } else {
+    close_block();
   }
   // A window ending at round i resolves every pending start point at or
   // before its first round with i - start + 1 rounds — the same value
   // rounds_until_conditions returns, because a streak that began before
   // `start` still leaves a full window inside [start, i] whenever
-  // start <= i - needed + 1.
-  const int cutoff = i - needed_ + 1;
-  while (reached_ < by_start_.size() &&
-         starts_[by_start_[reached_]] <= cutoff) {
-    ++reached_;
+  // start <= i - needed + 1. A start point coming into reach leaves every
+  // index behind.
+  const int cutoff = i - needed + 1;
+  if (sorted_[reached_] <= cutoff) {
+    do {
+      ++reached_;
+    } while (sorted_[reached_] <= cutoff);
+    behind_ = m_;
   }
-  // The window holds at indices window_max.. m-1. Their resolved prefixes
-  // never shrink with the index, so those already at reached_ end the walk.
+  if (window_max < behind_) resolve(window_max, i);
+}
+
+void ConsecutiveWindowTracker::close_block() noexcept {
+  for (std::size_t q = ring_.size(); q-- > 0;) {
+    suffix_[q] = std::max(suffix_[q + 1], ring_[q]);
+  }
+  slot_ = 0;
+  prefix_ = 0;
+}
+
+void ConsecutiveWindowTracker::resolve(int window_max, int i) noexcept {
+  // The window holds at indices window_max.. m-1; of those, the ones
+  // below behind_ have start points in reach still pending.
   const std::size_t points = starts_.size();
-  for (int t = window_max; t < m_; ++t) {
+  for (int t = window_max; t < behind_; ++t) {
     std::size_t& done = resolved_[static_cast<std::size_t>(t)];
-    if (done == reached_) break;
     int* end = end_.data() + static_cast<std::size_t>(t) * points;
     for (; done < reached_; ++done) end[by_start_[done]] = i;
   }
+  behind_ = window_max;
 }
 
 long long ConsecutiveWindowTracker::satisfied_rounds(int t) const noexcept {

@@ -109,6 +109,12 @@ class ConsecutiveWindowTracker {
   DecisionStats finalize(int t = 0) const;
 
  private:
+  /// Ends a block of `needed` rounds: rebuilds suffix_ from ring_.
+  void close_block() noexcept;
+  /// Resolves the pending start points in reach at indices window_max..
+  /// behind_ - 1 with round i.
+  void resolve(int window_max, int i) noexcept;
+
   int needed_;
   int total_;
   int m_;
@@ -125,8 +131,12 @@ class ConsecutiveWindowTracker {
   int prefix_ = 0;
   std::vector<int> starts_;            ///< draw order
   std::vector<std::size_t> by_start_;  ///< indices of starts_, ascending
+  std::vector<int> sorted_;  ///< starts_ in by_start_ order, then INT_MAX
   std::size_t reached_ = 0;  ///< entries of by_start_ within the cutoff
-  std::vector<std::size_t> resolved_;  ///< per index: entries resolved
+  /// Per index: entries of by_start_ resolved, never fewer than at a
+  /// lower index. Indices 0.. behind_ - 1 are the ones short of reached_.
+  std::vector<std::size_t> resolved_;
+  int behind_ = 0;
   /// [t * starts + j]: the round at which start j resolved at index t, or
   /// -1 while pending.
   std::vector<int> end_;
