@@ -118,7 +118,6 @@ ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
   TM_CHECK(m_ >= 0, "timeout count must be non-negative");
   hist_.assign(static_cast<std::size_t>(m_) + 1, 0);
   ring_.assign(static_cast<std::size_t>(needed_), 0);
-  suffix_.assign(static_cast<std::size_t>(needed_) + 1, 0);
   by_start_.resize(starts_.size());
   for (std::size_t j = 0; j < starts_.size(); ++j) {
     TM_CHECK(starts_[j] >= 0 && starts_[j] < total_,
@@ -140,44 +139,29 @@ ConsecutiveWindowTracker::ConsecutiveWindowTracker(int needed,
 void ConsecutiveWindowTracker::observe_rank(int rank) noexcept {
   TM_CHECK(rank >= 0 && rank <= m_, "rank out of range");
   const int i = round_++;
-  const int needed = needed_;
-  const int slot = slot_;
   ++hist_[static_cast<std::size_t>(rank)];
-  // Max rank of rounds i - needed + 1 .. i: the previous block's slots
-  // after this one, then the current block's up to it. Before the first
-  // full window it reads zeros, but then no start point is in reach.
-  const int prefix = std::max(prefix_, rank);
-  const int window_max =
-      std::max(suffix_[static_cast<std::size_t>(slot) + 1], prefix);
-  ring_[static_cast<std::size_t>(slot)] = rank;
-  if (slot + 1 < needed) {
-    slot_ = slot + 1;
-    prefix_ = prefix;
-  } else {
-    close_block();
-  }
+  ring_[static_cast<std::size_t>(slot_)] = rank;
+  slot_ = slot_ + 1 == needed_ ? 0 : slot_ + 1;
   // A window ending at round i resolves every pending start point at or
   // before its first round with i - start + 1 rounds — the same value
   // rounds_until_conditions returns, because a streak that began before
   // `start` still leaves a full window inside [start, i] whenever
   // start <= i - needed + 1. A start point coming into reach leaves every
   // index behind.
-  const int cutoff = i - needed + 1;
+  const int cutoff = i - needed_ + 1;
   if (sorted_[reached_] <= cutoff) {
     do {
       ++reached_;
     } while (sorted_[reached_] <= cutoff);
     behind_ = m_;
   }
+  // Only an index with a start point in reach still pending can gain
+  // from the window. A start point in reach means i >= needed - 1, so the
+  // ring then holds rounds i - needed + 1 .. i; the window holds at the
+  // indices from its max rank up.
+  if (behind_ == 0) return;
+  const int window_max = *std::max_element(ring_.begin(), ring_.end());
   if (window_max < behind_) resolve(window_max, i);
-}
-
-void ConsecutiveWindowTracker::close_block() noexcept {
-  for (std::size_t q = ring_.size(); q-- > 0;) {
-    suffix_[q] = std::max(suffix_[q + 1], ring_[q]);
-  }
-  slot_ = 0;
-  prefix_ = 0;
 }
 
 void ConsecutiveWindowTracker::resolve(int window_max, int i) noexcept {

@@ -109,8 +109,6 @@ class ConsecutiveWindowTracker {
   DecisionStats finalize(int t = 0) const;
 
  private:
-  /// Ends a block of `needed` rounds: rebuilds suffix_ from ring_.
-  void close_block() noexcept;
   /// Resolves the pending start points in reach at indices window_max..
   /// behind_ - 1 with round i.
   void resolve(int window_max, int i) noexcept;
@@ -120,15 +118,8 @@ class ConsecutiveWindowTracker {
   int m_;
   int round_ = 0;
   std::vector<long long> hist_;  ///< rounds per rank, 0..m
-  // Max rank of the last `needed` rounds, by blocks of `needed` rounds:
-  // ring_ holds the current block, suffix_[q] the max of the previous
-  // block's slots q.. (suffix_[needed] = 0), prefix_ the current block's
-  // max so far. One store and two max per round; suffix_ is rebuilt once
-  // per block.
-  std::vector<int> ring_;
-  std::vector<int> suffix_;
-  int slot_ = 0;  ///< current slot of ring_
-  int prefix_ = 0;
+  std::vector<int> ring_;  ///< ranks of the last `needed` rounds
+  int slot_ = 0;           ///< where the next round's rank goes
   std::vector<int> starts_;            ///< draw order
   std::vector<std::size_t> by_start_;  ///< indices of starts_, ascending
   std::vector<int> sorted_;  ///< starts_ in by_start_ order, then INT_MAX
